@@ -157,24 +157,34 @@ let run ?(budget = 255) (lv : Liveness.t) (f : func) : result =
   let budget = max 1 budget in
   let intervals = build_intervals lv f in
   let loc_of : (reg, loc) Hashtbl.t = Hashtbl.create 64 in
-  (* free physical registers, lowest first so reg indices stay dense *)
-  let free = ref (List.init budget (fun i -> i)) in
+  (* free set: one occupancy flag per physical register. [take] hands out
+     the lowest free index so reg indices stay dense; [lowest] is a lower
+     bound on it, so neither operation allocates or sorts. *)
+  let busy = Bytes.make budget '\000' in
+  let lowest = ref 0 in
   let take () =
-    match !free with
-    | r :: rest ->
-      free := rest;
-      r
-    | [] -> assert false
+    let r = ref !lowest in
+    while Bytes.get busy !r <> '\000' do
+      incr r
+    done;
+    Bytes.set busy !r '\001';
+    lowest := !r + 1;
+    !r
   in
-  let give r = free := List.sort compare (r :: !free) in
-  (* active intervals sorted by increasing end point *)
+  let give r =
+    Bytes.set busy r '\000';
+    if r < !lowest then lowest := r
+  in
+  (* active intervals sorted by increasing end point, and their count *)
   let active = ref [] in
+  let n_active = ref 0 in
   let insert_active iv =
     let rec go = function
       | [] -> [ iv ]
       | a :: rest as l -> if iv.iv_end <= a.iv_end then iv :: l else a :: go rest
     in
-    active := go !active
+    active := go !active;
+    incr n_active
   in
   let regs_used = ref 0 in
   let pressure = ref 0 in
@@ -198,12 +208,13 @@ let run ?(budget = 255) (lv : Liveness.t) (f : func) : result =
       let rec expire = function
         | a :: rest when a.iv_end < iv.iv_start ->
           (match a.iv_loc with Phys r -> give r | Slot _ -> ());
+          decr n_active;
           expire rest
         | l -> l
       in
       active := expire !active;
-      pressure := max !pressure (List.length !active + 1);
-      if List.length !active < budget then assign_phys iv
+      pressure := max !pressure (!n_active + 1);
+      if !n_active < budget then assign_phys iv
       else begin
         (* furthest-end heuristic: spill whichever of {the active set,
            the new interval} is live the longest *)
@@ -212,6 +223,7 @@ let run ?(budget = 255) (lv : Liveness.t) (f : func) : result =
           let phys = match last.iv_loc with Phys r -> r | Slot _ -> assert false in
           assign_slot last;
           active := List.filter (fun a -> a != last) !active;
+          decr n_active;
           give phys;
           assign_phys iv
         | _ -> assign_slot iv

@@ -10,11 +10,14 @@
    static SMem layout. Blocks are laid out in reverse post-order — the
    backend's block schedule.
 
-   The VM form is a *resource model*, not a second interpreter: the
-   virtual GPU keeps executing IR (spill-rewritten IR when the register
-   budget forces spills, see [Lower]), and the VM form is where register
-   counts, frame sizes and static spill instructions are read off — the
-   quantities ptxas/Nsight report and the paper's resource tables use. *)
+   The VM form is where register counts, frame sizes and static spill
+   instructions are read off — the quantities ptxas/Nsight report and the
+   paper's resource tables use. The engine does not decode these records:
+   it executes the IR (spill-rewritten when the register budget forces
+   spills, see [Lower]), and its threaded-code executor runs that IR
+   renamed onto the same allocation this form is built from
+   ([Threaded.plan_of_alloc]), so executed registers and reported
+   registers come from one assignment. *)
 
 open Ozo_ir.Types
 

@@ -26,6 +26,8 @@
    - The call graph is module-wide and validated purely by the
      invalidation contract: any changing pass that does not declare
      [pr_calls] drops it.
+   - A fixpoint memo lets [Local_opt] skip functions it already proved
+     unchanged under the same pure-callee set (see [known_fixpoint]).
 
    [create ~caching:false] yields a pass-through manager (every query
    recomputes) used for A/B compile-time measurements in perfbench. *)
@@ -78,6 +80,7 @@ type t = {
   caching : bool;
   entries : (string, entry) Hashtbl.t;
   mutable cg : Callgraph.t option;
+  fixpoints : (string, func * SSet.t) Hashtbl.t;
   stats : stats;
 }
 
@@ -85,6 +88,7 @@ let create ?(caching = true) () =
   { caching;
     entries = Hashtbl.create 16;
     cg = None;
+    fixpoints = Hashtbl.create 16;
     stats = { st_hits = 0; st_misses = 0; st_invalidations = 0 } }
 
 let stats t = t.stats
@@ -344,6 +348,25 @@ let invalidate t ~(preserved : preserved) ~(before : modul) ~(after : modul) =
       before.m_funcs;
     if not preserved.pr_calls then invalidate_callgraph t
   end
+
+(* ---------- fixpoint memo ------------------------------------------------ *)
+
+(* [Local_opt] records each function its rewrite left unchanged, with the
+   pure-callee set it ran under. The rewrite is a deterministic function
+   of exactly those two values, so a later invocation may skip a function
+   that is physically the recorded one under an equal pure set. Physical
+   identity makes the memo self-validating, like the entries above: any
+   pass that rewrites the function hands back a new record. Off when
+   caching is off, so cached-vs-uncached compiles differentially test it. *)
+let known_fixpoint t (f : func) (pure : SSet.t) =
+  t.caching
+  &&
+  match Hashtbl.find_opt t.fixpoints f.f_name with
+  | Some (f0, pure0) -> f0 == f && SSet.equal pure0 pure
+  | None -> false
+
+let record_fixpoint t (f : func) (pure : SSet.t) =
+  if t.caching then Hashtbl.replace t.fixpoints f.f_name (f, pure)
 
 (* ---------- coherence check (differential testing) ---------------------- *)
 

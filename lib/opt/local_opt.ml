@@ -222,9 +222,7 @@ let rec chase subst o =
     | _ -> o)
   | _ -> o
 
-let simplify_function (am : Analysis.t) (m : modul) (pure : SSet.t) (f : func) :
-    func * bool =
-  ignore m;
+let simplify_function (am : Analysis.t) (pure : SSet.t) (f : func) : func * bool =
   let orig = f in
   let changed = ref false in
   let subst : (reg, operand) Hashtbl.t = Hashtbl.create 32 in
@@ -446,6 +444,10 @@ let simplify_function (am : Analysis.t) (m : modul) (pure : SSet.t) (f : func) :
      original so the analysis manager sees physical identity *)
   if !changed then (!f, true) else (orig, false)
 
+(* A no-change result of [simplify_function] goes into the analysis
+   manager's fixpoint memo ([Analysis.known_fixpoint]). A changed result
+   is not a proven fixpoint — branch folding reports a change without
+   iterating again — so it is not recorded. *)
 let run ?am (m : modul) : modul * bool =
   let am = match am with Some a -> a | None -> Analysis.create () in
   let pure = pure_functions m in
@@ -453,12 +455,12 @@ let run ?am (m : modul) : modul * bool =
   let funcs =
     List.map
       (fun f ->
-        let f', ch = try simplify_function am m pure f with Failure msg ->
-          Fmt.epr "INPUT WAS:@.%a@." Ozo_ir.Printer.pp_func f;
-          failwith msg
-        in
-        if ch then changed := true;
-        f')
+        if Analysis.known_fixpoint am f pure then f
+        else begin
+          let f', ch = simplify_function am pure f in
+          if ch then changed := true else Analysis.record_fixpoint am f pure;
+          f'
+        end)
       m.m_funcs
   in
   if !changed then ({ m with m_funcs = funcs }, true) else (m, false)

@@ -88,10 +88,12 @@ echo "== backend: differential spill run =="
 dune exec test/test_main.exe -- test backend
 
 echo "== backend: ozo regs smoke =="
-# the resource table must expose regs/smem/occupancy/spills per build,
-# and a spill-forcing budget must report nonzero spill traffic
-"$CLI" regs xsbench --small --csv | grep -q "spill_loads" || {
-  echo "FAIL: ozo regs --csv missing spill columns"; exit 1; }
+# the default-budget resource table (regs/smem/occupancy/spills per
+# build) must match the checked-in expected file byte for byte, and a
+# spill-forcing budget must report nonzero spill traffic
+"$CLI" regs xsbench --small --csv > _build/ci_regs.csv
+diff scripts/expected/regs-xsbench-small.csv _build/ci_regs.csv || {
+  echo "FAIL: ozo regs --csv for xsbench differs from scripts/expected/regs-xsbench-small.csv"; exit 1; }
 spilled=$("$CLI" regs xsbench --small --csv --max-regs 8 \
   | awk -F, '$2 == "New RT" { print $11 }')
 [ -n "$spilled" ] && [ "$spilled" -gt 0 ] || {

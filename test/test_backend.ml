@@ -12,8 +12,11 @@
      each limiting resource, and under the [vgpu] descriptor degenerates
      to exactly the cost model's original formula.
 
-   Plus the ISSUE's acceptance direction: for every proxy the full
-   pipeline reports fewer registers and less SMem than baseline. *)
+   Plus the acceptance direction: for every proxy the full pipeline
+   reports fewer registers and less SMem than baseline. And the
+   allocator's free set is pinned twice: decision for decision against a
+   sorted-list reference, and by a ceiling on the backend's allocation
+   per compile. *)
 
 module C = Ozo_core.Codesign
 module E = Ozo_harness.Experiments
@@ -28,6 +31,9 @@ module Pipeline = Ozo_opt.Pipeline
 module Cost = Ozo_vgpu.Cost
 module Engine = Ozo_vgpu.Engine
 module Counters = Ozo_vgpu.Counters
+module Liveness = Ozo_ir.Liveness
+module RSet = Liveness.RSet
+module Irgen = Ozo_resilience.Irgen
 
 (* compile + run one proxy/build, failing the test on any fault *)
 let run_build ?(machine = Machine.vgpu) (p : Proxy.t) (b : C.build) =
@@ -112,6 +118,154 @@ let test_allocator_budget_respected () =
                     p.Proxy.p_name fl.Backend.fl_func r)
             ra.Regalloc.ra_loc)
         c.C.c_lower.Backend.lw_funcs)
+    (Registry.all_small ())
+
+(* --- allocator: free-set oracle ----------------------------------------------- *)
+
+(* The linear scan with its original free set: a sorted list, re-sorted
+   on every release. [Regalloc.run] must make the same decision at every
+   step, so this reference returns everything those decisions determine:
+   the sorted (vreg, location) map, registers used, pressure and spills. *)
+let reference_alloc ~budget (lv : Liveness.t) (f : Ozo_ir.Types.func) =
+  let open Regalloc in
+  let budget = max 1 budget in
+  let intervals = build_intervals lv f in
+  let free = ref (List.init budget (fun i -> i)) in
+  let take () =
+    match !free with
+    | r :: rest ->
+      free := rest;
+      r
+    | [] -> assert false
+  in
+  let give r = free := List.sort compare (r :: !free) in
+  let active = ref [] in
+  let insert_active iv =
+    let rec go = function
+      | [] -> [ iv ]
+      | a :: rest as l -> if iv.iv_end <= a.iv_end then iv :: l else a :: go rest
+    in
+    active := go !active
+  in
+  let regs_used = ref 0 and pressure = ref 0 and slots = ref 0 in
+  let spilled = ref RSet.empty in
+  let assign_phys iv =
+    let r = take () in
+    iv.iv_loc <- Phys r;
+    regs_used := max !regs_used (r + 1);
+    insert_active iv
+  in
+  let assign_slot iv =
+    iv.iv_loc <- Slot !slots;
+    incr slots;
+    spilled := RSet.add iv.iv_reg !spilled
+  in
+  List.iter
+    (fun iv ->
+      let rec expire = function
+        | a :: rest when a.iv_end < iv.iv_start ->
+          (match a.iv_loc with Phys r -> give r | Slot _ -> ());
+          expire rest
+        | l -> l
+      in
+      active := expire !active;
+      pressure := max !pressure (List.length !active + 1);
+      if List.length !active < budget then assign_phys iv
+      else
+        match List.rev !active with
+        | last :: _ when last.iv_end > iv.iv_end ->
+          let phys = match last.iv_loc with Phys r -> r | Slot _ -> assert false in
+          assign_slot last;
+          active := List.filter (fun a -> a != last) !active;
+          give phys;
+          assign_phys iv
+        | _ -> assign_slot iv)
+    intervals;
+  let locs =
+    List.sort compare (List.map (fun iv -> (iv.iv_reg, iv.iv_loc)) intervals)
+  in
+  (locs, !regs_used, !pressure, RSet.elements !spilled)
+
+let check_against_reference what ~budget (f : Ozo_ir.Types.func) =
+  let lv = Liveness.analyse f in
+  let ra = Regalloc.run ~budget lv f in
+  let locs =
+    List.sort compare (Hashtbl.fold (fun r l acc -> (r, l) :: acc) ra.Regalloc.ra_loc [])
+  in
+  let actual =
+    (locs, ra.Regalloc.ra_regs_used, ra.Regalloc.ra_pressure, ra.Regalloc.ra_spilled)
+  in
+  if actual <> reference_alloc ~budget lv f then
+    Alcotest.failf "%s/%s at budget %d: allocation differs from the sorted-list reference"
+      what f.Ozo_ir.Types.f_name budget
+
+let oracle_machines = [ Machine.vgpu; Machine.mi250; Machine.h100 ]
+
+let test_regalloc_oracle_proxies () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (b : C.build) ->
+          List.iter
+            (fun (machine : Machine.t) ->
+              let what =
+                Printf.sprintf "%s/%s/%s" p.Proxy.p_name b.C.b_label
+                  machine.Machine.mc_name
+              in
+              let k = Proxy.kernel_for p b.C.b_abi in
+              let optimized = Pipeline.run b.C.b_pipe (C.link_stage ~machine b k) in
+              let check_module ~budget m =
+                List.iter (check_against_reference what ~budget) m.Ozo_ir.Types.m_funcs
+              in
+              check_module ~budget:machine.Machine.mc_max_regs_per_thread optimized;
+              check_module ~budget:spill_budget optimized;
+              (* the spill-rewritten bodies are allocated again for the
+                 executor's rename plans *)
+              let lowered =
+                Backend.run
+                  ~machine:(Machine.with_reg_budget spill_budget machine)
+                  optimized ~kernel:k.Ozo_frontend.Ast.k_name
+              in
+              check_module ~budget:spill_budget lowered.Backend.lw_module)
+            oracle_machines)
+        C.standard_builds)
+    (Registry.all_small ())
+
+let test_regalloc_oracle_irgen () =
+  for seed = 1 to 200 do
+    let m = Irgen.generate ~seed in
+    List.iter
+      (fun budget ->
+        List.iter
+          (check_against_reference (Printf.sprintf "irgen seed %d" seed) ~budget)
+          m.Ozo_ir.Types.m_funcs)
+      [ 255; spill_budget; 1 ]
+  done
+
+(* --- allocator: allocation ceiling ------------------------------------------ *)
+
+(* The backend's allocation per compile is gated like a counter: each
+   small proxy's full build lowers in 40-140 KB, while a per-release sort
+   of the free set costs several MB. The count is exact only while no minor
+   collection runs inside the window (a collection triggered early adds
+   the unused rest of the minor heap), hence the [Gc.minor] first: a run
+   far below the ceiling then never reaches a collection, and one that
+   does is over the ceiling anyway. *)
+let backend_alloc_ceiling = 1_000_000.
+
+let test_backend_alloc_ceiling () =
+  List.iter
+    (fun p ->
+      let b = E.new_rt_for p in
+      let k = Proxy.kernel_for p b.C.b_abi in
+      let optimized = Pipeline.run b.C.b_pipe (C.link_stage b k) in
+      Gc.minor ();
+      let a0 = Gc.allocated_bytes () in
+      ignore (Backend.run optimized ~kernel:k.Ozo_frontend.Ast.k_name);
+      let bytes = Gc.allocated_bytes () -. a0 in
+      if bytes > backend_alloc_ceiling then
+        Alcotest.failf "%s/%s: Backend.run allocated %.0f bytes (ceiling %.0f)"
+          p.Proxy.p_name b.C.b_label bytes backend_alloc_ceiling)
     (Registry.all_small ())
 
 (* --- SMem layout ------------------------------------------------------------ *)
@@ -365,5 +519,8 @@ let suite =
     tc "smem: layout non-overlap + engine parity" test_smem_layout;
     tc "regalloc: budget respected, spills recorded" test_allocator_budget_respected;
     tc "regalloc: spilled run bit-identical on every proxy" test_spill_bit_identity;
+    tc "regalloc: matches sorted-list reference on proxies" test_regalloc_oracle_proxies;
+    tc "regalloc: matches sorted-list reference on irgen" test_regalloc_oracle_irgen;
+    tc "regalloc: backend allocation under ceiling" test_backend_alloc_ceiling;
     tc "vm: lowered program shape + spill code" test_vm_form;
     tc "acceptance: full < baseline regs and smem" test_full_beats_baseline ]

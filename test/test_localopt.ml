@@ -299,6 +299,82 @@ let test_float_folding () =
   | Error e -> Alcotest.failf "%a" Device.pp_error e);
   Alcotest.(check int) "8" 8 (i64_array dev out 1).(0)
 
+(* --- fixpoint memo ----------------------------------------------------------- *)
+
+module Analysis = Ozo_opt.Analysis
+
+let queries am =
+  let st = Analysis.stats am in
+  st.Analysis.st_hits + st.Analysis.st_misses
+
+(* [k] calls [g] and discards the result; [g] stores (impure) or only
+   loads (pure) *)
+let caller_callee_module ~g_pure =
+  let b = B.create "m" in
+  (match B.begin_func b ~name:"g" ~params:[ I64 ] ~ret:(Some I64) () with
+  | [ x ] ->
+    B.set_block b "entry";
+    if g_pure then B.ret b (Some (B.load b I64 x))
+    else begin
+      B.store b I64 (B.i64 1) x;
+      B.ret b (Some (B.i64 0))
+    end
+  | _ -> assert false);
+  ignore (B.end_func b);
+  (match B.begin_func b ~name:"k" ~kernel:true ~params:[ I64 ] ~ret:None () with
+  | [ out ] ->
+    B.set_block b "entry";
+    ignore (B.call_val b "g" [ out ]);
+    B.ret b None
+  | _ -> assert false);
+  ignore (B.end_func b);
+  B.finish b
+
+(* run local_opt on [k]-calls-pure-[g], then on its own unchanged output
+   twice: returns the analysis queries the last run issued *)
+let queries_on_proven_fixpoint ~caching =
+  let am = Analysis.create ~caching () in
+  let m1, ch1 = Local_opt.run ~am (caller_callee_module ~g_pure:true) in
+  Alcotest.(check bool) "first run deletes the pure call" true ch1;
+  (* a changed result is not a proven fixpoint, so it is not recorded *)
+  Alcotest.(check bool) "changed k not recorded" false
+    (Analysis.known_fixpoint am (find_func_exn m1 "k") (Local_opt.pure_functions m1));
+  let m2, ch2 = Local_opt.run ~am m1 in
+  Alcotest.(check bool) "second run reports no change" false ch2;
+  Alcotest.(check bool) "second run returns its input" true (m2 == m1);
+  let q0 = queries am in
+  let m3, ch3 = Local_opt.run ~am m2 in
+  Alcotest.(check bool) "third run reports no change" false ch3;
+  Alcotest.(check bool) "third run returns its input" true (m3 == m2);
+  (queries am - q0, List.length m2.m_funcs)
+
+let test_memo_skips_proven_fixpoints () =
+  let q, _ = queries_on_proven_fixpoint ~caching:true in
+  Alcotest.(check int) "proven fixpoints issue no analysis queries" 0 q
+
+let test_memo_off_without_caching () =
+  let q, nfuncs = queries_on_proven_fixpoint ~caching:false in
+  if q < nfuncs then
+    Alcotest.failf "caching off: %d queries for %d functions (a call was skipped)" q
+      nfuncs
+
+(* the memo is keyed on the pure-callee set too: [k] is a proven fixpoint
+   while [g] stores, and must be rewritten once [g] turns pure *)
+let test_memo_respects_pure_set () =
+  let am = Analysis.create () in
+  let m = caller_callee_module ~g_pure:false in
+  let k0 = find_func_exn m "k" in
+  let m1, _ = Local_opt.run ~am m in
+  Alcotest.(check bool) "k left unchanged" true (find_func_exn m1 "k" == k0);
+  let g_pure = find_func_exn (caller_callee_module ~g_pure:true) "g" in
+  let m2 =
+    { m1 with
+      m_funcs = List.map (fun f -> if f.f_name = "g" then g_pure else f) m1.m_funcs }
+  in
+  let m3, _ = Local_opt.run ~am m2 in
+  Alcotest.(check int) "call to the now-pure g deleted" 0
+    (count_in_func is_call (find_func_exn m3 "k"))
+
 let suite =
   [ tc "constant arithmetic" test_constant_arith;
     tc "division by zero is preserved" test_div_by_zero_not_folded;
@@ -311,4 +387,7 @@ let suite =
     tc "DCE keeps side effects" test_dce_keeps_side_effects;
     tc "pure call removal" test_pure_call_removal;
     tc "devirtualization" test_devirtualization;
-    tc "float folding" test_float_folding ]
+    tc "float folding" test_float_folding;
+    tc "memo: proven fixpoints are skipped" test_memo_skips_proven_fixpoints;
+    tc "memo: pure-set change re-runs a proven fixpoint" test_memo_respects_pure_set;
+    tc "memo: off when caching is off" test_memo_off_without_caching ]
