@@ -1,7 +1,7 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (Section V) from live compilation + simulation, and
-   provides one Bechamel micro-benchmark per table/figure measuring the
-   end-to-end cost of regenerating it.
+(* Figure harness: regenerates every table and figure of the paper's
+   evaluation section (Section V) from live compilation + simulation.
+   Wall-clock and allocation costs are measured by bench/e2e/ozobench.ml
+   (end to end) and bench/perfbench.ml (engine micro kernels).
 
    Usage:
      bench/main.exe                 regenerate all figures/tables
@@ -9,7 +9,6 @@
      bench/main.exe fig11 | fig12 | fig13
      bench/main.exe ablation-xs | ablation-fmm
      bench/main.exe csv             machine-readable dump of everything
-     bench/main.exe bechamel        Bechamel timings (one per figure)
 
    Figure ids follow DESIGN.md's experiment index:
      fig10a=xsbench  fig10b=rsbench  fig10c=testsnap  fig10d=minifmm
@@ -32,7 +31,7 @@ let run_fig10 name =
 let run_fig11 () =
   List.iter
     (fun p ->
-      let ms = E.fig11 p in
+      let ms = E.fig10 p in
       Fmt.pr "%a" R.pp_fig11 (p.Ozo_proxies.Proxy.p_name, ms))
     (Registry.all ())
 
@@ -67,7 +66,7 @@ let run_all () =
   List.iter
     (fun p ->
       let m = E.debug_run p in
-      let rel = E.measure p (E.new_rt_for p) in
+      let rel = E.measure_request p (E.request_for p (E.new_rt_for p)) in
       Fmt.pr "  %-10s debug build: %s (ktime %.0f cycles, %+.0f%% vs release)@."
         p.Ozo_proxies.Proxy.p_name
         (match m.E.r_check with
@@ -76,51 +75,6 @@ let run_all () =
         m.E.r_cycles
         (100.0 *. ((m.E.r_cycles /. rel.E.r_cycles) -. 1.0)))
     (Registry.all ())
-
-(* --- Bechamel micro-benchmarks: one Test.make per table/figure --------- *)
-
-let bechamel () =
-  let open Bechamel in
-  let small name =
-    Registry.all_small () |> List.find (fun p -> p.Ozo_proxies.Proxy.p_name = name)
-  in
-  let test_fig10 id pname =
-    Test.make ~name:id (Staged.stage (fun () -> ignore (E.fig10 (small pname))))
-  in
-  let tests =
-    [ test_fig10 "fig10a-xsbench" "xsbench";
-      test_fig10 "fig10b-rsbench" "rsbench";
-      test_fig10 "fig10c-testsnap" "testsnap";
-      test_fig10 "fig10d-minifmm" "minifmm";
-      Test.make ~name:"fig11-all-builds"
-        (Staged.stage (fun () ->
-             List.iter (fun p -> ignore (E.fig11 p)) (Registry.all_small ())));
-      Test.make ~name:"fig12-gridmini"
-        (Staged.stage (fun () -> ignore (E.fig10 (small "gridmini"))));
-      Test.make ~name:"fig13-ablation-gridmini"
-        (Staged.stage (fun () -> ignore (E.ablation (small "gridmini"))))
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  Fmt.pr "Bechamel: wall-clock cost of regenerating each figure (test-size workloads)@.";
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "  %-26s %12.0f ns/run@." name est
-          | _ -> Fmt.pr "  %-26s (no estimate)@." name)
-        results)
-    tests
 
 let () =
   match if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None with
@@ -131,7 +85,6 @@ let () =
   | Some "fig13" -> run_ablation "gridmini"
   | Some "ablation-xs" -> run_ablation "xsbench"
   | Some "ablation-fmm" -> run_ablation "minifmm"
-  | Some "bechamel" -> bechamel ()
   | Some id -> (
     match List.assoc_opt id fig10_ids with
     | Some pname -> ignore (run_fig10 pname)

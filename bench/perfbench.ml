@@ -1,14 +1,17 @@
 (* Perf-regression harness for the SIMT engine.
 
-   Two tiers:
+   Two suites of small IR kernels built directly with [Ozo_ir.Builder]
+   and launched on a [Device], bypassing the compile pipeline, so the
+   numbers isolate the engine:
 
-   - a pure-engine micro-suite: small IR kernels built directly with
-     [Ozo_ir.Builder] and launched on a [Device], bypassing the compile
-     pipeline, so the numbers isolate interpreter throughput (ALU issue
-     rate, memory path, broadcast loads, divergence/strand churn);
-   - end-to-end figure regeneration: the exact workload of
-     `bench/main.exe csv` (5 proxies x 5 build rows through compile +
-     simulate + validate), which is what every reproduction sweep pays.
+   - micro: interpreter throughput (ALU issue rate, memory path,
+     broadcast loads, divergence/strand churn) plus one traced sample
+     that bounds the tracing-on cost;
+   - vm: the same lowered kernel on both executors (IR interpreter and
+     threaded code), with an in-pair issue-equality check.
+
+   End-to-end and per-layer costs (compile pipeline, backend, serving
+   tier, domain sharding) are measured by bench/e2e/ozobench.ml.
 
    Output is machine-readable JSON (see BENCH_engine.json at the repo
    root for the tracked trajectory): per benchmark wall time, engine
@@ -28,8 +31,6 @@ open Ozo_ir.Types
 module B = Ozo_ir.Builder
 module Device = Ozo_vgpu.Device
 module Engine = Ozo_vgpu.Engine
-module E = Ozo_harness.Experiments
-module Registry = Ozo_proxies.Registry
 module Trace = Ozo_obs.Trace
 
 (* --- micro-suite kernels ---------------------------------------------- *)
@@ -255,84 +256,6 @@ let micro_suite ~iters =
   in
   [ alu; mem; bcast; dv; alu_traced ]
 
-(* Compile-time suite: the full optimization pipeline over every small
-   proxy with the analysis cache on vs off. The linked (pre-pipeline)
-   modules are built once outside the timer, so the two samples isolate
-   [Pipeline.run] itself — the delta is what the analysis manager saves.
-   [s_issues] reports analysis queries (hits + misses) per iteration. *)
-let pipeline_suite ~iters =
-  let module Pipeline = Ozo_opt.Pipeline in
-  let module Analysis = Ozo_opt.Analysis in
-  let module C = Ozo_core.Codesign in
-  let module Proxy = Ozo_proxies.Proxy in
-  let linked =
-    List.map
-      (fun p ->
-        let b = E.new_rt_for p in
-        let k = Proxy.kernel_for p b.C.b_abi in
-        let app = Ozo_frontend.Lower.lower ~abi:b.C.b_abi k in
-        match b.C.b_rt with
-        | None -> app
-        | Some rt -> Ozo_ir.Linker.link app (Ozo_runtime.Runtime.build rt))
-      (Registry.all_small ())
-  in
-  let run_all ~caching () =
-    List.fold_left
-      (fun acc m ->
-        let am = Analysis.create ~caching () in
-        ignore (Pipeline.run ~am Pipeline.full m);
-        let st = Analysis.stats am in
-        acc + st.Analysis.st_hits + st.Analysis.st_misses)
-      0 linked
-  in
-  [ time_run ~iters ~name:"pipeline/full-cached" (run_all ~caching:true);
-    time_run ~iters ~name:"pipeline/full-uncached" (run_all ~caching:false) ]
-
-(* Backend suite: the late lowering stage (register allocation, SSA
-   destruction to VM form, SMem layout, occupancy) over every small
-   proxy's optimized module — once at the default budget (the cost every
-   compile now pays) and once at a spill-forcing budget (adds the IR
-   spill rewrite + re-verification-sized work). Modules are optimized
-   outside the timer, so the samples isolate [Backend.run].
-   [s_issues] reports VM instructions emitted per iteration. *)
-let backend_suite ~iters =
-  let module Pipeline = Ozo_opt.Pipeline in
-  let module C = Ozo_core.Codesign in
-  let module Proxy = Ozo_proxies.Proxy in
-  let module Backend = Ozo_backend.Lower in
-  let module Machine = Ozo_backend.Machine in
-  let module Vm = Ozo_backend.Vm in
-  let optimized =
-    List.map
-      (fun p ->
-        let b = E.new_rt_for p in
-        let k = Proxy.kernel_for p b.C.b_abi in
-        let app = Ozo_frontend.Lower.lower ~abi:b.C.b_abi k in
-        let linked =
-          match b.C.b_rt with
-          | None -> app
-          | Some rt -> Ozo_ir.Linker.link app (Ozo_runtime.Runtime.build rt)
-        in
-        (k.Ozo_frontend.Ast.k_name, Pipeline.run Pipeline.full linked))
-      (Registry.all_small ())
-  in
-  let vm_insts (s : Backend.summary) =
-    List.fold_left
-      (fun acc vf ->
-        List.fold_left
-          (fun acc vb -> acc + List.length vb.Vm.vb_insts)
-          acc vf.Vm.vf_blocks)
-      0 s.Backend.lw_program.Vm.pr_funcs
-  in
-  let lower_all machine () =
-    List.fold_left
-      (fun acc (kernel, m) -> acc + vm_insts (Backend.run ~machine m ~kernel))
-      0 optimized
-  in
-  [ time_run ~iters ~name:"backend/lower" (lower_all Machine.vgpu);
-    time_run ~iters ~name:"backend/lower-spill"
-      (lower_all (Machine.with_reg_budget 8 Machine.vgpu)) ]
-
 (* Threaded-code executor suite: the same lowered module and register
    plan launched on both executors, so each ir/vm pair isolates pure
    dispatch cost. Counters are bit-identical by contract — [s_issues]
@@ -368,103 +291,6 @@ let vm_suite ~iters =
   pair "int-chain" (intchain_kernel 1500)
   @ pair "alu-loop" (alu_kernel 2000)
   @ pair "divergence" (diverge_kernel 600)
-
-(* End-to-end: the `bench/main.exe csv` workload (all figures' raw rows).
-   [domains] shards each launch's team loop over OCaml domains; counters
-   (and therefore [s_issues]) are bit-identical at every value. *)
-let e2e_csv ?(domains = 1) ~small () =
-  let pool = if small then Registry.all_small () else Registry.all () in
-  List.fold_left
-    (fun acc p ->
-      List.fold_left
-        (fun acc b ->
-          let m = E.measure ~domains p b in
-          acc + m.E.r_counters.Ozo_vgpu.Counters.warp_instructions)
-        acc (E.builds_for p))
-    0 pool
-
-(* Serving-tier suite: the full proxy x build queue drained through the
-   batched service — cold (a fresh compile cache per iteration, every
-   request compiles) vs warm (a cache pre-filled outside the timer, every
-   request served from cache). The delta is the compile pipeline + backend
-   cost the content-addressed cache elides; served results are
-   bit-identical either way, so [s_issues] (total warp instructions over
-   all served launches) must agree between the two samples. *)
-let serve_suite ~iters =
-  let module Service = Ozo_serve.Service in
-  let module Cache = Ozo_serve.Cache in
-  let queue =
-    List.concat_map
-      (fun p ->
-        List.map (fun b -> (p.Ozo_proxies.Proxy.p_name, b)) E.build_names)
-      (Registry.all_small ())
-  in
-  let opts = { Service.default with Service.sv_small = true } in
-  let issues ms =
-    List.fold_left
-      (fun acc m -> acc + m.E.r_counters.Ozo_vgpu.Counters.warp_instructions)
-      0 ms
-  in
-  let cold =
-    time_run ~iters ~name:"serve/cold" (fun () ->
-        issues (fst (Service.run opts queue)))
-  in
-  let warm_cache = Cache.create () in
-  ignore (Service.run ~cache:warm_cache opts queue);
-  let warm =
-    time_run ~iters ~name:"serve/warm" (fun () ->
-        issues (fst (Service.run ~cache:warm_cache opts queue)))
-  in
-  [ cold; warm ]
-
-(* Autotuner suite: one model-only launch-shape search (compile + probe
-   + static scoring), one search with top-3 measured refinement (adds
-   three real launches through the same compile), and the small
-   cross-machine matrix. [s_issues] reports candidates scored for the
-   searches and total warp instructions for the matrix; both are
-   deterministic, so the issue counts double as a drift check. *)
-let tune_suite ~iters =
-  let module Tune = Ozo_tune.Tune in
-  let module Matrix = Ozo_tune.Matrix in
-  let module Machine = Ozo_backend.Machine in
-  let p =
-    List.find
-      (fun p -> p.Ozo_proxies.Proxy.p_name = "xsbench")
-      (Registry.all_small ())
-  in
-  let search ~measure_top () =
-    let v =
-      Tune.search ~measure_top ~machine:Machine.mi250 p ~build_name:"new-rt"
-    in
-    List.length v.Tune.tv_candidates
-  in
-  let matrix () =
-    let t =
-      Matrix.run ~small:true ~machines:[ "vgpu"; "mi250" ]
-        ~proxies:[ "xsbench"; "gridmini" ] ()
-    in
-    List.fold_left
-      (fun acc c ->
-        acc
-        + c.Matrix.x_m.E.r_counters.Ozo_vgpu.Counters.warp_instructions)
-      0 t.Matrix.mx_cells
-  in
-  [ time_run ~iters ~name:"tune/search-model" (search ~measure_top:0);
-    time_run ~iters ~name:"tune/search-measured" (search ~measure_top:3);
-    time_run ~iters ~name:"tune/matrix-small" matrix ]
-
-(* Domain-scaling curve over the end-to-end workload. The speedup these
-   samples record is bounded by the machine's core count — on a 1-core
-   container every count collapses to time-sliced sequential speed and
-   the curve documents the (small) sharding overhead instead. Alloc per
-   iteration is the schedule-independent regression signal. *)
-let par_suite ~iters =
-  List.map
-    (fun d ->
-      time_run ~iters
-        ~name:(Fmt.str "par/e2e-csv-full-d%d" d)
-        (e2e_csv ~domains:d ~small:false))
-    [ 1; 2; 4; 8 ]
 
 (* --- JSON output -------------------------------------------------------- *)
 
@@ -512,25 +338,9 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let mode = if !smoke then "smoke" else "full" in
-  let micro_iters = if !smoke then 1 else 8 in
+  let iters = if !smoke then 1 else 8 in
   Fmt.pr "perfbench (%s mode)@." mode;
-  let samples = micro_suite ~iters:micro_iters in
-  let samples =
-    samples @ pipeline_suite ~iters:(if !smoke then 1 else 10)
-  in
-  let samples = samples @ backend_suite ~iters:(if !smoke then 1 else 10) in
-  let samples = samples @ vm_suite ~iters:(if !smoke then 1 else 8) in
-  let e2e =
-    if !smoke then
-      [ time_run ~iters:1 ~name:"e2e/csv-small" (e2e_csv ~small:true) ]
-    else
-      [ time_run ~iters:3 ~name:"e2e/csv-small" (e2e_csv ~small:true);
-        time_run ~iters:2 ~name:"e2e/csv-full" (e2e_csv ~small:false) ]
-  in
-  let samples = samples @ e2e in
-  let samples = samples @ serve_suite ~iters:(if !smoke then 1 else 4) in
-  let samples = samples @ tune_suite ~iters:(if !smoke then 1 else 4) in
-  let samples = samples @ (if !smoke then [] else par_suite ~iters:2) in
+  let samples = micro_suite ~iters @ vm_suite ~iters in
   List.iter
     (fun s ->
       Fmt.pr "  %-26s %9.1f ms/iter  %10.0f issues/s  %12.0f B alloc/iter@."
@@ -541,60 +351,19 @@ let () =
          else 0.0)
         s.s_alloc_bytes)
     samples;
+  let find n = List.find_opt (fun s -> s.s_name = n) samples in
+  let per s = s.s_wall_s /. float_of_int s.s_iters in
   (* tracing overhead summary: traced vs untraced ALU loop *)
-  (let find n = List.find_opt (fun s -> s.s_name = n) samples in
-   match (find "micro/alu-loop", find "micro/alu-loop-traced") with
-   | Some off, Some on_ ->
-     let per s = s.s_wall_s /. float_of_int s.s_iters in
-     if per off > 0.0 then
-       Fmt.pr "  tracing+profiling on: %+.1f%% vs untraced alu-loop@."
-         (100.0 *. (per on_ -. per off) /. per off)
-   | _ -> ());
+  (match (find "micro/alu-loop", find "micro/alu-loop-traced") with
+  | Some off, Some on_ when per off > 0.0 ->
+    Fmt.pr "  tracing+profiling on: %+.1f%% vs untraced alu-loop@."
+      (100.0 *. (per on_ -. per off) /. per off)
+  | _ -> ());
   (* threaded-code executor summary: vm vs ir on the execute-bound chain *)
-  (let find n = List.find_opt (fun s -> s.s_name = n) samples in
-   match (find "vm/int-chain-ir", find "vm/int-chain-vm") with
-   | Some ir, Some vm ->
-     let per s = s.s_wall_s /. float_of_int s.s_iters in
-     if per vm > 0.0 then
-       Fmt.pr "  threaded-code executor: %.2fx vs IR interpreter on vm/int-chain@."
-         (per ir /. per vm)
-   | _ -> ());
-  (* analysis-cache summary: cached vs uncached full pipeline *)
-  (let find n = List.find_opt (fun s -> s.s_name = n) samples in
-   match (find "pipeline/full-cached", find "pipeline/full-uncached") with
-   | Some on_, Some off ->
-     let per s = s.s_wall_s /. float_of_int s.s_iters in
-     if per on_ > 0.0 then
-       Fmt.pr "  analysis caching on: %.2fx compile-time vs uncached full pipeline@."
-         (per off /. per on_)
-   | _ -> ());
-  (* serving-tier summary: warm vs cold queue drain *)
-  (let find n = List.find_opt (fun s -> s.s_name = n) samples in
-   match (find "serve/cold", find "serve/warm") with
-   | Some cold, Some warm ->
-     let per s = s.s_wall_s /. float_of_int s.s_iters in
-     if per warm > 0.0 then
-       Fmt.pr "  warm compile cache: %.2fx launches/sec vs cold service@."
-         (per cold /. per warm)
-   | _ -> ());
-  (* autotuner summary: measured refinement cost over the model-only search *)
-  (let find n = List.find_opt (fun s -> s.s_name = n) samples in
-   match (find "tune/search-model", find "tune/search-measured") with
-   | Some model, Some meas ->
-     let per s = s.s_wall_s /. float_of_int s.s_iters in
-     if per model > 0.0 then
-       Fmt.pr "  measured refinement: %.2fx the model-only search@."
-         (per meas /. per model)
-   | _ -> ());
-  (* domain-scaling summary: parallel vs sequential end-to-end sweep *)
-  (let find n = List.find_opt (fun s -> s.s_name = n) samples in
-   match (find "par/e2e-csv-full-d1", find "par/e2e-csv-full-d4") with
-   | Some d1, Some d4 ->
-     let per s = s.s_wall_s /. float_of_int s.s_iters in
-     if per d4 > 0.0 then
-       Fmt.pr "  4 domains: %.2fx e2e wall-clock vs 1 domain (%d core(s) available)@."
-         (per d1 /. per d4)
-         (Domain.recommended_domain_count ())
-   | _ -> ());
+  (match (find "vm/int-chain-ir", find "vm/int-chain-vm") with
+  | Some ir, Some vm when per vm > 0.0 ->
+    Fmt.pr "  threaded-code executor: %.2fx vs IR interpreter on vm/int-chain@."
+      (per ir /. per vm)
+  | _ -> ());
   emit_json ~mode ~path:!out samples;
   Fmt.pr "wrote %s@." !out

@@ -1,15 +1,16 @@
 (* Command-line driver: compile, run, inspect and measure the proxy
    applications under any build configuration.
 
-     ozo_cli list
-     ozo_cli run xsbench --build new-rt [--debug] [--small] [--sanitize]
-                         [--inject corrupt-load@k:3] [--seed 7] [--profile]
-     ozo_cli inspect gridmini --build new-rt [--full-ir]
-     ozo_cli remarks rsbench
-     ozo_cli trace testsnap [--out testsnap.trace.json] [--check]
-     ozo_cli ablate gridmini
-     ozo_cli sanitize xsbench [--small]
-     ozo_cli campaign rsbench [--inject skip-barrier] [--seed 42] [--profile]  *)
+     ozo_cli list | machines
+     ozo_cli run|trace|inspect|remarks|vm|tune PROXY [--build B] [--small] ...
+     ozo_cli regs|ablate|sanitize|campaign PROXY [--small] ...
+     ozo_cli serve --requests FILE [--repeat N] ...
+     ozo_cli matrix [--proxy P]... [--machines LIST] ...
+     ozo_cli fuzz [--seeds N] [--seed BASE] [--plant flip-add] ...
+
+   Every subcommand that runs or compiles a proxy reads its flags through
+   one term ([request_term]); `ozo_cli COMMAND --help` lists the ones it
+   admits. *)
 
 module C = Ozo_core.Codesign
 module E = Ozo_harness.Experiments
@@ -18,51 +19,74 @@ module Proxy = Ozo_proxies.Proxy
 module Registry = Ozo_proxies.Registry
 module Trace = Ozo_obs.Trace
 module Chrome = Ozo_obs.Chrome_trace
-module Json = Ozo_obs.Json
 module Machine = Ozo_backend.Machine
+module Engine = Ozo_vgpu.Engine
+module Faultinject = Ozo_vgpu.Faultinject
 module Tune = Ozo_tune.Tune
 module Matrix = Ozo_tune.Matrix
 open Cmdliner
 
-(* the harness owns the canonical name → build mapping *)
-let build_of_string p name =
-  Result.map_error (fun e -> `Msg e) (E.build_of_name p name)
+let handle = function
+  | Ok () -> 0
+  | Error (`Msg m) ->
+    Fmt.epr "error: %s@." m;
+    1
+
+(* --- the request term ---------------------------------------------------- *)
+
+let conv parse print =
+  Arg.conv ((fun s -> Result.map_error (fun e -> `Msg e) (parse s)), print)
+
+let machine_names_doc = String.concat "|" Machine.names
+
+let machine_conv =
+  conv
+    (fun s ->
+      Option.to_result (Machine.find s)
+        ~none:("unknown machine " ^ s ^ " (" ^ machine_names_doc ^ ")"))
+    (fun ppf m -> Fmt.string ppf m.Machine.mc_name)
+
+let exec_conv =
+  conv
+    (fun s ->
+      Option.to_result (Engine.exec_of_name s)
+        ~none:("unknown exec path " ^ s ^ " (ir|vm)"))
+    (fun ppf e -> Fmt.string ppf (Engine.exec_name e))
+
+(* the firing occurrence is seeded from --seed once both are parsed *)
+let inject_conv =
+  conv (Faultinject.parse ~seed:0) (fun ppf s ->
+      Fmt.string ppf (Faultinject.spec_to_string s))
 
 let proxy_arg =
   let doc = "Proxy application (xsbench, rsbench, gridmini, testsnap, minifmm)." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROXY" ~doc)
 
 let build_arg =
-  let doc = "Build configuration: old-rt, new-rt-nightly, new-rt-no-assumptions, new-rt, cuda." in
+  let doc =
+    "Build configuration: " ^ String.concat ", " E.build_names ^ "."
+  in
   Arg.(value & opt string "new-rt" & info [ "build"; "b" ] ~docv:"BUILD" ~doc)
 
 let small_arg =
   let doc = "Use the reduced test-size workload." in
   Arg.(value & flag & info [ "small" ] ~doc)
 
-let debug_arg =
-  let doc = "Compile the runtime in debug mode and verify assumptions at runtime." in
-  Arg.(value & flag & info [ "debug" ] ~doc)
-
-let sanitize_arg =
-  let doc = "Run under the SIMT sanitizer (bounds, init, race, barrier checks)." in
-  Arg.(value & flag & info [ "sanitize" ] ~doc)
-
-let inject_arg =
+let machine_arg =
   let doc =
-    "Inject a deterministic fault: ACTION[@FUNC][:NTH] with ACTION one of \
-     corrupt-load, drop-store, skip-barrier, trunc-shared, violate-assume. \
-     NTH (the firing occurrence) is drawn from --seed when omitted."
+    "Machine descriptor (" ^ machine_names_doc
+    ^ "): wavefront width, SM count, register budget and occupancy limits \
+       the compile, simulation and cost model run against."
   in
-  Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
+  Arg.(value & opt machine_conv Machine.vgpu
+       & info [ "machine"; "m" ] ~docv:"MACHINE" ~doc)
 
-let seed_arg =
-  let doc = "PRNG seed for fault-injection campaigns." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
-
-let profile_arg =
-  let doc = "Record a trace with the per-block hot-spot profile and print it." in
-  Arg.(value & flag & info [ "profile" ] ~doc)
+let max_regs_arg =
+  let doc =
+    "Override the per-thread register budget (forces spilling below the \
+     kernel's natural pressure)."
+  in
+  Arg.(value & opt (some int) None & info [ "max-regs" ] ~docv:"N" ~doc)
 
 let domains_arg =
   let doc =
@@ -77,47 +101,141 @@ let exec_arg =
      compiled from the register-allocated VM form). Results are bit-identical \
      on both paths; only wall-clock changes."
   in
-  Arg.(value & opt string "ir" & info [ "exec" ] ~docv:"PATH" ~doc)
+  Arg.(value & opt exec_conv Engine.Exec_ir & info [ "exec" ] ~docv:"PATH" ~doc)
 
-let parse_exec s =
-  match Ozo_vgpu.Engine.exec_of_name s with
-  | Some e -> Ok e
-  | None -> Error (`Msg ("unknown exec path " ^ s ^ " (ir|vm)"))
+let sanitize_arg =
+  let doc = "Run under the SIMT sanitizer (bounds, init, race, barrier checks)." in
+  Arg.(value & flag & info [ "sanitize" ] ~doc)
 
-(* one converter for every subcommand that takes a machine descriptor *)
-let machine_names_doc = String.concat "|" Machine.names
+let debug_arg =
+  let doc = "Compile the runtime in debug mode and verify assumptions at runtime." in
+  Arg.(value & flag & info [ "debug" ] ~doc)
 
-let parse_machine s =
-  match Machine.find s with
-  | Some m -> Ok m
-  | None -> Error (`Msg ("unknown machine " ^ s ^ " (" ^ machine_names_doc ^ ")"))
-
-let machine_arg =
+let inject_arg =
   let doc =
-    "Machine descriptor (" ^ machine_names_doc
-    ^ "): wavefront width, SM count and occupancy limits the compile, \
-       simulation and cost model run against."
+    "Inject a deterministic fault: ACTION[@FUNC][:NTH] with ACTION one of \
+     corrupt-load, drop-store, skip-barrier, trunc-shared, violate-assume. \
+     NTH (the firing occurrence) is drawn from --seed when omitted."
   in
-  Arg.(value & opt string "vgpu" & info [ "machine" ] ~docv:"MACHINE" ~doc)
+  Arg.(value & opt (some inject_conv) None & info [ "inject" ] ~docv:"SPEC" ~doc)
 
-let parse_inject seed = function
-  | None -> Ok None
-  | Some s -> (
-    match Ozo_vgpu.Faultinject.parse ~seed s with
-    | Ok spec -> Ok (Some spec)
-    | Error e -> Error (`Msg e))
+let seed_arg =
+  let doc = "PRNG seed for fault-injection campaigns." in
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
 
-let find_proxy small name =
-  let pool = if small then Registry.all_small () else Registry.all () in
-  match List.find_opt (fun p -> p.Proxy.p_name = name) pool with
-  | Some p -> Ok p
-  | None -> Error (`Msg ("unknown proxy " ^ name))
+let profile_arg =
+  let doc = "Record a trace with the per-block hot-spot profile and print it." in
+  Arg.(value & flag & info [ "profile" ] ~doc)
 
-let handle = function
-  | Ok () -> 0
-  | Error (`Msg m) ->
-    Fmt.epr "error: %s@." m;
-    1
+let csv_arg =
+  Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV rows.")
+
+let journal_arg =
+  let doc = "Append every completed row (or verdict) to this crash-safe JSONL journal." in
+  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
+
+let repeat_arg =
+  let doc =
+    "Run the sweep N times (later passes exercise the circuit breaker and \
+     warm the compile cache)."
+  in
+  Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
+
+(* campaign and serve exit non-zero on any row whose final check failed *)
+let fail_on_dead what ms =
+  match List.filter (fun m -> Result.is_error m.E.r_check) ms with
+  | [] -> Ok ()
+  | dead ->
+    Error
+      (`Msg
+        (Fmt.str "%s finished with %d dead row(s):@.%a" what (List.length dead)
+           R.pp_faults dead))
+
+(* The flag groups a subcommand admits; the others keep their defaults. *)
+type group =
+  | Build | Machine_desc | Max_regs | Domains | Exec | Sanitize | Debug
+  | Inject (* --inject, its --seed and --profile *)
+
+let admit groups g arg default = if List.mem g groups then arg else Term.const default
+
+type flags = {
+  small : bool;
+  machine : Machine.t; (* --max-regs already applied *)
+  domains : int;
+  exec : Engine.exec;
+  sanitize : bool;
+  debug : bool;
+  inject : Faultinject.spec option; (* seeded *)
+  seed : int;
+  profile : bool;
+}
+
+let flags_term groups : flags Term.t =
+  let pick g arg default = admit groups g arg default in
+  let make small machine max_regs domains exec sanitize debug inject seed
+      profile =
+    { small; domains; exec; sanitize; debug; seed; profile;
+      machine =
+        (match max_regs with
+        | Some n -> Machine.with_reg_budget n machine
+        | None -> machine);
+      inject =
+        Option.map (fun s -> { s with Faultinject.s_seed = seed }) inject }
+  in
+  Term.(
+    const make $ small_arg
+    $ pick Machine_desc machine_arg Machine.vgpu
+    $ pick Max_regs max_regs_arg None
+    $ pick Domains domains_arg 1
+    $ pick Exec exec_arg Engine.Exec_ir
+    $ pick Sanitize sanitize_arg false
+    $ pick Debug debug_arg false
+    $ pick Inject inject_arg None
+    $ pick Inject seed_arg 42
+    $ pick Inject profile_arg false)
+
+(* A validated proxy, its build (--debug applied) and the request every
+   flag folds into. *)
+type target = {
+  proxy : Proxy.t;
+  build_name : string;
+  build : C.build;
+  req : C.Request.t;
+  fl : flags;
+}
+
+let request_term groups : target Term.t =
+  let resolve name build_name fl =
+    let pool = if fl.small then Registry.all_small () else Registry.all () in
+    let ( let* ) = Result.bind in
+    let* proxy =
+      Option.to_result ~none:("unknown proxy " ^ name)
+        (List.find_opt (fun p -> p.Proxy.p_name = name) pool)
+    in
+    let* b = E.build_of_name proxy build_name in
+    let build = if fl.debug then C.with_debug b else b in
+    let trace = if fl.profile then Trace.make () else Trace.null in
+    let req =
+      E.request_for ~check_assumes:fl.debug ~sanitize:fl.sanitize
+        ?inject:fl.inject ~trace ~profile:fl.profile ~domains:fl.domains
+        ~exec:fl.exec ~machine:fl.machine proxy build
+    in
+    Ok { proxy; build_name; build; req; fl }
+  in
+  Term.(
+    term_result'
+      (const resolve $ proxy_arg
+      $ admit groups Build build_arg "new-rt"
+      $ flags_term groups))
+
+(* the target's request compiled under its own build, or under [build] *)
+let compile ?build t =
+  let r =
+    match build with
+    | Some b -> { t.req with C.Request.rq_build = b }
+    | None -> t.req
+  in
+  C.compile_request r (Proxy.kernel_for t.proxy r.C.Request.rq_build.C.b_abi)
 
 (* --- list --------------------------------------------------------------- *)
 
@@ -136,24 +254,13 @@ let list_cmd =
 (* --- run ---------------------------------------------------------------- *)
 
 let run_cmd =
-  let run name build small debug sanitize inject seed profile domains exec
-      machine =
+  let run t =
     handle
-      (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let* b = build_of_string p build in
-       let* inject = parse_inject seed inject in
-       let* exec = parse_exec exec in
-       let* machine = parse_machine machine in
-       let b = if debug then C.with_debug b else b in
-       let trace = if profile then Trace.make () else Trace.null in
-       let m =
-         E.measure ~check_assumes:debug ~sanitize ?inject ~trace ~profile
-           ~domains ~exec ~machine p b
-       in
+      (let name = t.proxy.Proxy.p_name in
+       let m = E.measure_request t.proxy t.req in
        Fmt.pr "%a%a" R.pp_fig11 (name, [ m ]) R.pp_csv_header ();
        Fmt.pr "%a" R.pp_csv m;
-       if profile then begin
+       if t.fl.profile then begin
          Fmt.pr "%a" R.pp_phases (name, [ m ]);
          (match m.E.r_cache with
          | Some (h, mi, inv) ->
@@ -173,9 +280,10 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and run one proxy under one build configuration")
-    Term.(const run $ proxy_arg $ build_arg $ small_arg $ debug_arg $ sanitize_arg
-          $ inject_arg $ seed_arg $ profile_arg $ domains_arg $ exec_arg
-          $ machine_arg)
+    Term.(
+      const run
+      $ request_term
+          [ Build; Machine_desc; Domains; Exec; Sanitize; Debug; Inject ])
 
 (* --- inspect ------------------------------------------------------------ *)
 
@@ -183,41 +291,32 @@ let inspect_cmd =
   let full_ir =
     Arg.(value & flag & info [ "full-ir" ] ~doc:"Print the whole module, not just the kernel.")
   in
-  let run name build small full =
-    handle
-      (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let* b = build_of_string p build in
-       let c = C.compile b (Proxy.kernel_for p b.C.b_abi) in
-       Fmt.pr "build: %s   mode: %s   regs: %d   smem: %dB@.@." b.C.b_label
-         (match c.C.c_mode with Ozo_opt.Spmdize.Spmd -> "SPMD" | _ -> "generic")
-         c.C.c_regs c.C.c_smem;
-       if full then Fmt.pr "%a@." Ozo_ir.Printer.pp_module c.C.c_module
-       else
-         Fmt.pr "%a@." Ozo_ir.Printer.pp_func
-           (Ozo_ir.Types.find_func_exn c.C.c_module c.C.c_kernel);
-       Ok ())
+  let run t full =
+    let c = compile t in
+    Fmt.pr "build: %s   mode: %s   regs: %d   smem: %dB@.@." t.build.C.b_label
+      (match c.C.c_mode with Ozo_opt.Spmdize.Spmd -> "SPMD" | _ -> "generic")
+      c.C.c_regs c.C.c_smem;
+    if full then Fmt.pr "%a@." Ozo_ir.Printer.pp_module c.C.c_module
+    else
+      Fmt.pr "%a@." Ozo_ir.Printer.pp_func
+        (Ozo_ir.Types.find_func_exn c.C.c_module c.C.c_kernel);
+    0
   in
   Cmd.v
     (Cmd.info "inspect" ~doc:"Print the optimized IR of a proxy kernel")
-    Term.(const run $ proxy_arg $ build_arg $ small_arg $ full_ir)
+    Term.(const run $ request_term [ Build ] $ full_ir)
 
 (* --- remarks ------------------------------------------------------------- *)
 
 let remarks_cmd =
-  let run name build small =
-    handle
-      (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let* b = build_of_string p build in
-       let c = C.compile b (Proxy.kernel_for p b.C.b_abi) in
-       List.iter (fun r -> Fmt.pr "%a@." Ozo_opt.Remarks.pp r) c.C.c_remarks;
-       Ok ())
+  let run t =
+    List.iter (fun r -> Fmt.pr "%a@." Ozo_opt.Remarks.pp r) (compile t).C.c_remarks;
+    0
   in
   Cmd.v
     (Cmd.info "remarks"
        ~doc:"Show optimization remarks (-Rpass=openmp-opt analog) for a proxy build")
-    Term.(const run $ proxy_arg $ build_arg $ small_arg)
+    Term.(const run $ request_term [ Build ])
 
 (* --- trace --------------------------------------------------------------- *)
 
@@ -233,68 +332,17 @@ let trace_cmd =
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in
-  (* structural containment checks over the flat event list; nesting in
-     the Chrome format is conveyed by time ranges on one tid *)
-  let check_trace s =
-    let ( let* ) = Result.bind in
-    let* events = Chrome.validate s in
-    let require name =
-      match Chrome.spans_by_name events name with
-      | [] -> Error ("trace has no \"" ^ name ^ "\" span")
-      | sp :: _ -> Ok sp
-    in
-    let* compile = require "compile" in
-    let* launch = require "launch" in
-    let* _ = require "decode" in
-    let* _ = require "execute" in
-    let* _ = require "readback" in
-    let prefixed pre ev =
-      match Chrome.ev_name ev with
-      | Some n -> String.length n >= String.length pre && String.sub n 0 (String.length pre) = pre
-      | None -> false
-    in
-    let passes = List.filter (fun ev -> prefixed "pass:" ev && Chrome.ev_ph ev = Some "X") events in
-    let* () = if passes = [] then Error "trace has no pass spans" else Ok () in
-    let* () =
-      if List.for_all (Chrome.contains compile) passes then Ok ()
-      else Error "pass spans are not nested under the compile span"
-    in
-    let* () =
-      let phases = List.concat_map (Chrome.spans_by_name events) [ "decode"; "execute"; "readback" ] in
-      if List.for_all (Chrome.contains launch) phases then Ok ()
-      else Error "phase spans are not nested under the launch span"
-    in
-    let hots = List.filter (prefixed "hot:") events in
-    let* () = if hots = [] then Error "trace has no hot-spot events" else Ok () in
-    (* the pipeline must have reported its analysis-cache counters, and a
-       traced compile of a real proxy must have produced cache hits *)
-    let* cache_hits =
-      match
-        List.find_opt
-          (fun ev ->
-            Chrome.ev_ph ev = Some "i" && Chrome.ev_name ev = Some "analysis-cache")
-          events
-      with
-      | None -> Error "trace has no analysis-cache event"
-      | Some ev -> (
-        match
-          Option.bind (Json.member "args" ev) (Json.member "hits")
-          |> Fun.flip Option.bind Json.to_number
-        with
-        | None -> Error "analysis-cache event lacks a numeric hits arg"
-        | Some h when h <= 0.0 -> Error "analysis-cache event reports zero hits"
-        | Some h -> Ok (int_of_float h))
-    in
-    Ok (List.length events, List.length passes, List.length hots, cache_hits)
-  in
-  let run name build small out check =
+  let run t out check =
     handle
       (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let* b = build_of_string p build in
        let trace = Trace.make () in
-       let m = E.measure ~trace ~profile:true p b in
-       let path = match out with Some f -> f | None -> name ^ ".trace.json" in
+       let m =
+         E.measure_request t.proxy
+           (E.request_for ~trace ~profile:true t.proxy t.build)
+       in
+       let path =
+         match out with Some f -> f | None -> t.proxy.Proxy.p_name ^ ".trace.json"
+       in
        Chrome.write trace path;
        Fmt.pr "%a@." Ozo_obs.Profile.pp_report trace;
        Fmt.pr "wrote %s (%d spans)@." path (Trace.count_spans trace);
@@ -305,11 +353,7 @@ let trace_cmd =
        in
        if not check then Ok ()
        else
-         let ic = open_in path in
-         let len = in_channel_length ic in
-         let s = really_input_string ic len in
-         close_in ic;
-         match check_trace s with
+         match Chrome.check_run (In_channel.with_open_bin path In_channel.input_all) with
          | Ok (nev, npass, nhot, nhits) ->
            Fmt.pr
              "trace check: ok (%d events, %d pass spans, %d hot spots, %d analysis \
@@ -323,183 +367,129 @@ let trace_cmd =
        ~doc:
          "Run one proxy with tracing and hot-spot profiling, write a Chrome \
           trace-event JSON (chrome://tracing / Perfetto) and print the profile")
-    Term.(const run $ proxy_arg $ build_arg $ small_arg $ out_arg $ check_arg)
+    Term.(const run $ request_term [ Build ] $ out_arg $ check_arg)
 
 (* --- regs ---------------------------------------------------------------- *)
 
 let regs_cmd =
-  let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV rows.")
-  in
-  let machine_arg =
-    let doc =
-      "Machine descriptor for the occupancy model (" ^ machine_names_doc ^ ")."
+  let run t csv =
+    let p = t.proxy and machine = t.fl.machine in
+    let module M = Ozo_backend.Machine in
+    let module L = Ozo_backend.Lower in
+    let module S = Ozo_backend.Smem in
+    let rows =
+      List.map
+        (fun b ->
+          let c = compile ~build:b t in
+          let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
+          let occ =
+            M.occupancy machine ~threads_per_team:hw
+              ~regs_per_thread:c.C.c_regs ~shared_per_team:c.C.c_smem
+          in
+          (b, c, occ))
+        (E.builds_for p)
     in
-    Arg.(value & opt string "vgpu" & info [ "machine"; "m" ] ~docv:"MACHINE" ~doc)
-  in
-  let max_regs_arg =
-    let doc =
-      "Override the per-thread register budget (forces spilling below the \
-       kernel's natural pressure)."
-    in
-    Arg.(value & opt (some int) None & info [ "max-regs" ] ~docv:"N" ~doc)
-  in
-  let run name small csv machine max_regs =
-    handle
-      (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let* machine = parse_machine machine in
-       let machine =
-         match max_regs with
-         | Some n -> Ozo_backend.Machine.with_reg_budget n machine
-         | None -> machine
-       in
-       let builds = E.builds_for p in
-       let rows =
-         List.map
-           (fun b ->
-             let c = C.compile ~machine b (Proxy.kernel_for p b.C.b_abi) in
-             let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
-             let occ =
-               Ozo_backend.Machine.occupancy machine ~threads_per_team:hw
-                 ~regs_per_thread:c.C.c_regs ~shared_per_team:c.C.c_smem
-             in
-             (b, c, occ))
-           builds
-       in
-       if csv then begin
-         Fmt.pr
-           "proxy,build,machine,regs,smem,smem_runtime,smem_globalized,occupancy,\
-            limiter,teams_per_sm,spilled,spill_loads,spill_stores,frame_bytes@.";
-         List.iter
-           (fun (b, c, occ) ->
-             let l = c.C.c_lower in
-             let module M = Ozo_backend.Machine in
-             let module L = Ozo_backend.Lower in
-             let module S = Ozo_backend.Smem in
-             Fmt.pr "%s,%s,%s,%d,%d,%d,%d,%.3f,%s,%d,%d,%d,%d,%d@." p.Proxy.p_name
-               b.C.b_label machine.M.mc_name c.C.c_regs c.C.c_smem
-               l.L.lw_layout.S.ly_runtime l.L.lw_layout.S.ly_globalized
-               occ.M.occ_fraction
-               (M.limiter_name occ.M.occ_limiter)
-               occ.M.occ_teams_per_sm l.L.lw_spilled_regs l.L.lw_spill_loads
-               l.L.lw_spill_stores l.L.lw_frame_bytes)
-           rows
-       end
-       else begin
-         Fmt.pr "%s — per-kernel resources on %s (budget %d regs/thread)@."
-           p.Proxy.p_name machine.Ozo_backend.Machine.mc_name
-           machine.Ozo_backend.Machine.mc_max_regs_per_thread;
-         Fmt.pr "  %-26s %6s %9s %18s %7s %7s %8s %8s@." "build" "#regs" "smem(B)"
-           "smem(rt/glob)" "occup" "spilled" "ld/st" "frame(B)";
-         List.iter
-           (fun (b, c, occ) ->
-             let l = c.C.c_lower in
-             let module M = Ozo_backend.Machine in
-             let module L = Ozo_backend.Lower in
-             let module S = Ozo_backend.Smem in
-             Fmt.pr "  %-26s %6d %9d %12d/%-5d %6.2f* %7d %4d/%-4d %8d@."
-               b.C.b_label c.C.c_regs c.C.c_smem l.L.lw_layout.S.ly_runtime
-               l.L.lw_layout.S.ly_globalized occ.M.occ_fraction
-               l.L.lw_spilled_regs l.L.lw_spill_loads l.L.lw_spill_stores
-               l.L.lw_frame_bytes;
-             Fmt.pr "    %a@." M.pp_occupancy occ)
-           rows
-       end;
-       Ok ())
+    if csv then begin
+      Fmt.pr
+        "proxy,build,machine,regs,smem,smem_runtime,smem_globalized,occupancy,\
+         limiter,teams_per_sm,spilled,spill_loads,spill_stores,frame_bytes@.";
+      List.iter
+        (fun (b, c, occ) ->
+          let l = c.C.c_lower in
+          Fmt.pr "%s,%s,%s,%d,%d,%d,%d,%.3f,%s,%d,%d,%d,%d,%d@." p.Proxy.p_name
+            b.C.b_label machine.M.mc_name c.C.c_regs c.C.c_smem
+            l.L.lw_layout.S.ly_runtime l.L.lw_layout.S.ly_globalized
+            occ.M.occ_fraction
+            (M.limiter_name occ.M.occ_limiter)
+            occ.M.occ_teams_per_sm l.L.lw_spilled_regs l.L.lw_spill_loads
+            l.L.lw_spill_stores l.L.lw_frame_bytes)
+        rows
+    end
+    else begin
+      Fmt.pr "%s — per-kernel resources on %s (budget %d regs/thread)@."
+        p.Proxy.p_name machine.M.mc_name machine.M.mc_max_regs_per_thread;
+      Fmt.pr "  %-26s %6s %9s %18s %7s %7s %8s %8s@." "build" "#regs" "smem(B)"
+        "smem(rt/glob)" "occup" "spilled" "ld/st" "frame(B)";
+      List.iter
+        (fun (b, c, occ) ->
+          let l = c.C.c_lower in
+          Fmt.pr "  %-26s %6d %9d %12d/%-5d %6.2f* %7d %4d/%-4d %8d@."
+            b.C.b_label c.C.c_regs c.C.c_smem l.L.lw_layout.S.ly_runtime
+            l.L.lw_layout.S.ly_globalized occ.M.occ_fraction
+            l.L.lw_spilled_regs l.L.lw_spill_loads l.L.lw_spill_stores
+            l.L.lw_frame_bytes;
+          Fmt.pr "    %a@." M.pp_occupancy occ)
+        rows
+    end;
+    0
   in
   Cmd.v
     (Cmd.info "regs"
        ~doc:
          "Show the backend's per-kernel resource table (registers, shared \
           memory, occupancy, spills) for every build configuration")
-    Term.(const run $ proxy_arg $ small_arg $ csv_arg $ machine_arg $ max_regs_arg)
+    Term.(const run $ request_term [ Machine_desc; Max_regs ] $ csv_arg)
 
 (* --- vm ------------------------------------------------------------------ *)
 
 let vm_cmd =
-  let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV rows.")
-  in
-  let machine_arg =
-    let doc =
-      "Machine descriptor for the register budget (" ^ machine_names_doc ^ ")."
-    in
-    Arg.(value & opt string "vgpu" & info [ "machine"; "m" ] ~docv:"MACHINE" ~doc)
-  in
-  let max_regs_arg =
-    let doc =
-      "Override the per-thread register budget (forces spilling below the \
-       kernel's natural pressure)."
-    in
-    Arg.(value & opt (some int) None & info [ "max-regs" ] ~docv:"N" ~doc)
-  in
   let listing_arg =
     Arg.(value & flag
          & info [ "listing" ]
              ~doc:"Also print the full VM instruction stream per function.")
   in
-  let run name build small csv machine max_regs listing =
-    handle
-      (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let* b = build_of_string p build in
-       let* machine = parse_machine machine in
-       let machine =
-         match max_regs with
-         | Some n -> Ozo_backend.Machine.with_reg_budget n machine
-         | None -> machine
-       in
-       let c = C.compile ~machine b (Proxy.kernel_for p b.C.b_abi) in
-       let module L = Ozo_backend.Lower in
-       let module V = Ozo_backend.Vm in
-       let l = c.C.c_lower in
-       let plan_of fn = List.assoc_opt fn l.L.lw_plan in
-       (* per-function rows over the VM program the resource model prices;
-          "plan" says whether the threaded executor runs this function
-          renamed (spill-free) or falls back to interpretation *)
-       let rows =
-         List.map (fun fl -> (fl, V.func_stats fl.L.fl_vm)) l.L.lw_funcs
-       in
-       if csv then begin
-         Fmt.pr
-           "proxy,build,function,blocks,edges,ops,moves,reloads,spills,regs,\
-            frame_bytes,plan,plan_regs@.";
-         List.iter
-           (fun ((fl : L.func_lowering), (s : V.vstats)) ->
-             let vf = fl.L.fl_vm in
-             Fmt.pr "%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d@." p.Proxy.p_name
-               b.C.b_label fl.L.fl_func s.V.vs_blocks s.V.vs_edges s.V.vs_ops
-               s.V.vs_moves s.V.vs_reloads s.V.vs_spills vf.V.vf_regs_used
-               vf.V.vf_frame_bytes
-               (match plan_of fl.L.fl_func with Some _ -> "vm" | None -> "ir")
-               (match plan_of fl.L.fl_func with
-               | Some pl -> pl.Ozo_vgpu.Engine.rp_nregs
-               | None -> 0))
-           rows
-       end
-       else begin
-         Fmt.pr "%s / %s — VM form on %s (budget %d regs/thread)@."
-           p.Proxy.p_name b.C.b_label machine.Ozo_backend.Machine.mc_name
-           machine.Ozo_backend.Machine.mc_max_regs_per_thread;
-         Fmt.pr "  %-24s %6s %5s %6s %6s %7s %6s %5s %8s %5s@." "function"
-           "blocks" "edges" "ops" "moves" "reloads" "spills" "regs" "frame(B)"
-           "exec";
-         List.iter
-           (fun ((fl : L.func_lowering), (s : V.vstats)) ->
-             let vf = fl.L.fl_vm in
-             Fmt.pr "  %-24s %6d %5d %6d %6d %7d %6d %5d %8d %5s@." fl.L.fl_func
-               s.V.vs_blocks s.V.vs_edges s.V.vs_ops s.V.vs_moves s.V.vs_reloads
-               s.V.vs_spills vf.V.vf_regs_used vf.V.vf_frame_bytes
-               (match plan_of fl.L.fl_func with Some _ -> "vm" | None -> "ir"))
-           rows;
-         if listing then
-           List.iter
-             (fun ((fl : L.func_lowering), _) ->
-               Fmt.pr "@.%a@." V.pp_vfunc fl.L.fl_vm)
-             rows
-       end;
-       Ok ())
+  let run t csv listing =
+    let p = t.proxy and b = t.build and machine = t.fl.machine in
+    let c = compile t in
+    let module L = Ozo_backend.Lower in
+    let module V = Ozo_backend.Vm in
+    let l = c.C.c_lower in
+    let plan_of fn = List.assoc_opt fn l.L.lw_plan in
+    (* per-function rows over the VM program the resource model prices;
+       "plan" says whether the threaded executor runs this function
+       renamed (spill-free) or falls back to interpretation *)
+    let rows =
+      List.map (fun fl -> (fl, V.func_stats fl.L.fl_vm)) l.L.lw_funcs
+    in
+    if csv then begin
+      Fmt.pr
+        "proxy,build,function,blocks,edges,ops,moves,reloads,spills,regs,\
+         frame_bytes,plan,plan_regs@.";
+      List.iter
+        (fun ((fl : L.func_lowering), (s : V.vstats)) ->
+          let vf = fl.L.fl_vm in
+          Fmt.pr "%s,%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d@." p.Proxy.p_name
+            b.C.b_label fl.L.fl_func s.V.vs_blocks s.V.vs_edges s.V.vs_ops
+            s.V.vs_moves s.V.vs_reloads s.V.vs_spills vf.V.vf_regs_used
+            vf.V.vf_frame_bytes
+            (match plan_of fl.L.fl_func with Some _ -> "vm" | None -> "ir")
+            (match plan_of fl.L.fl_func with
+            | Some pl -> pl.Engine.rp_nregs
+            | None -> 0))
+        rows
+    end
+    else begin
+      Fmt.pr "%s / %s — VM form on %s (budget %d regs/thread)@."
+        p.Proxy.p_name b.C.b_label machine.Machine.mc_name
+        machine.Machine.mc_max_regs_per_thread;
+      Fmt.pr "  %-24s %6s %5s %6s %6s %7s %6s %5s %8s %5s@." "function"
+        "blocks" "edges" "ops" "moves" "reloads" "spills" "regs" "frame(B)"
+        "exec";
+      List.iter
+        (fun ((fl : L.func_lowering), (s : V.vstats)) ->
+          let vf = fl.L.fl_vm in
+          Fmt.pr "  %-24s %6d %5d %6d %6d %7d %6d %5d %8d %5s@." fl.L.fl_func
+            s.V.vs_blocks s.V.vs_edges s.V.vs_ops s.V.vs_moves s.V.vs_reloads
+            s.V.vs_spills vf.V.vf_regs_used vf.V.vf_frame_bytes
+            (match plan_of fl.L.fl_func with Some _ -> "vm" | None -> "ir"))
+        rows;
+      if listing then
+        List.iter
+          (fun ((fl : L.func_lowering), _) ->
+            Fmt.pr "@.%a@." V.pp_vfunc fl.L.fl_vm)
+          rows
+    end;
+    0
   in
   Cmd.v
     (Cmd.info "vm"
@@ -508,32 +498,35 @@ let vm_cmd =
           per-function instruction mix (ops/moves/reloads/spills), resource \
           numbers and whether the threaded path executes it renamed (vm) or \
           interprets it (ir); --listing prints the full stream")
-    Term.(const run $ proxy_arg $ build_arg $ small_arg $ csv_arg $ machine_arg
-          $ max_regs_arg $ listing_arg)
+    Term.(
+      const run $ request_term [ Build; Machine_desc; Max_regs ] $ csv_arg
+      $ listing_arg)
 
 (* --- ablate -------------------------------------------------------------- *)
 
 let ablate_cmd =
-  let run name small =
-    handle
-      (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       Fmt.pr "%a" R.pp_ablation (name, E.ablation p);
-       Ok ())
+  let run t =
+    Fmt.pr "%a" R.pp_ablation (t.proxy.Proxy.p_name, E.ablation t.proxy);
+    0
   in
   Cmd.v
     (Cmd.info "ablate" ~doc:"Run the per-optimization ablation for one proxy (Fig. 13)")
-    Term.(const run $ proxy_arg $ small_arg)
+    Term.(const run $ request_term [])
 
 (* --- sanitize ------------------------------------------------------------ *)
 
 let sanitize_cmd =
-  let run name small =
+  let run t =
     handle
-      (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let ms = E.campaign ~check_assumes:true ~sanitize:true p in
-       Fmt.pr "%a" R.pp_fig11 (name ^ " [sanitized]", ms);
+      (let p = t.proxy in
+       let ms =
+         List.map
+           (fun b ->
+             E.measure_request p
+               (E.request_for ~check_assumes:true ~sanitize:true p b))
+           (E.builds_for p)
+       in
+       Fmt.pr "%a" R.pp_fig11 (p.Proxy.p_name ^ " [sanitized]", ms);
        let dirty = List.filter (fun m -> m.E.r_fault <> None) ms in
        if dirty = [] then begin
          Fmt.pr "sanitizer: clean (%d builds)@." (List.length ms);
@@ -550,7 +543,7 @@ let sanitize_cmd =
        ~doc:
          "Run one proxy under every build with the SIMT sanitizer armed; exit \
           non-zero on any finding")
-    Term.(const run $ proxy_arg $ small_arg)
+    Term.(const run $ request_term [])
 
 (* --- campaign ------------------------------------------------------------- *)
 
@@ -559,23 +552,12 @@ module Campaign = Ozo_resilience.Campaign
 module Fuzz = Ozo_resilience.Fuzz
 
 let campaign_cmd =
-  let journal_arg =
-    let doc =
-      "Append every completed row to this crash-safe JSONL journal as the \
-       campaign runs."
-    in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
   let resume_arg =
     let doc =
       "Resume from the journal given by --journal: completed rows are replayed \
        verbatim and measurement restarts at the first missing row."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let repeat_arg =
-    let doc = "Run the full build sweep N times (exercises the circuit breaker)." in
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
   in
   let retries_arg =
     let doc = "Supervisor retries per row for transient faults." in
@@ -594,54 +576,43 @@ let campaign_cmd =
     in
     Arg.(value & opt (some int) None & info [ "abort-after" ] ~docv:"N" ~doc)
   in
-  let run name small sanitize inject seed profile journal resume repeat retries
-      deadline abort_after domains exec machine =
+  let run t journal resume repeat retries deadline abort_after =
     handle
       (let ( let* ) = Result.bind in
-       let* _ = find_proxy small name in
-       let* inject = parse_inject seed inject in
-       let* exec = parse_exec exec in
-       let* machine = parse_machine machine in
-       (match inject with
+       let name = t.proxy.Proxy.p_name and fl = t.fl in
+       (match fl.inject with
        | Some spec ->
-         Fmt.pr "injecting: %s (seed %d)@." (Ozo_vgpu.Faultinject.spec_to_string spec) seed
+         Fmt.pr "injecting: %s (seed %d)@." (Faultinject.spec_to_string spec) fl.seed
        | None -> ());
-       let trace = if profile then Trace.make () else Trace.null in
        let opts =
          { Campaign.default with
-           Campaign.co_proxies = [ name ]; co_small = small;
-           co_repeat = repeat; co_sanitize = sanitize; co_inject = inject;
+           Campaign.co_proxies = [ name ]; co_small = fl.small;
+           co_repeat = repeat; co_sanitize = fl.sanitize; co_inject = fl.inject;
            co_journal = journal; co_resume = resume;
-           co_abort_after = abort_after; co_domains = domains; co_exec = exec;
-           co_machine = machine;
+           co_abort_after = abort_after; co_domains = fl.domains;
+           co_exec = fl.exec; co_machine = fl.machine;
            co_sup =
              { Supervisor.default with
                Supervisor.sv_retries = retries; sv_deadline_s = deadline;
-               sv_seed = seed;
+               sv_seed = fl.seed;
                (* with injection armed, every fault kind is worth one
                   clean retry — injection fires only on attempt 0 *)
                sv_transient =
-                 (if inject <> None then Ozo_vgpu.Fault.all_kinds
+                 (if fl.inject <> None then Ozo_vgpu.Fault.all_kinds
                   else Supervisor.default.Supervisor.sv_transient) } }
        in
        let* ms =
-         match Campaign.run ~trace opts with
+         match Campaign.run ~trace:(C.Request.trace t.req) opts with
          | ms -> Ok ms
          | exception Campaign.Aborted m -> Error (`Msg m)
          | exception E.Harness_error m -> Error (`Msg m)
        in
        Fmt.pr "%a%a" R.pp_fig10 (name, ms) R.pp_fig11 (name, ms);
-       if profile then Fmt.pr "%a" R.pp_phases (name, ms);
+       if fl.profile then Fmt.pr "%a" R.pp_phases (name, ms);
        Fmt.pr "%a" R.pp_resilience (name, ms);
        Fmt.pr "%a" R.pp_csv_header ();
        List.iter (Fmt.pr "%a" R.pp_csv) ms;
-       let dead = List.filter (fun m -> Result.is_error m.E.r_check) ms in
-       if dead = [] then Ok ()
-       else
-         Error
-           (`Msg
-             (Fmt.str "campaign finished with %d dead row(s):@.%a"
-                (List.length dead) R.pp_faults dead)))
+       fail_on_dead "campaign" ms)
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -650,15 +621,15 @@ let campaign_cmd =
           supervisor (watchdog, retry, circuit breaker), degrading gracefully \
           on faults (optionally injected); exit 0 iff every row ends with a \
           valid check")
-    Term.(const run $ proxy_arg $ small_arg $ sanitize_arg $ inject_arg $ seed_arg
-          $ profile_arg $ journal_arg $ resume_arg $ repeat_arg $ retries_arg
-          $ deadline_arg $ abort_after_arg $ domains_arg $ exec_arg
-          $ machine_arg)
+    Term.(
+      const run
+      $ request_term [ Machine_desc; Domains; Exec; Sanitize; Inject ]
+      $ journal_arg $ resume_arg $ repeat_arg $ retries_arg $ deadline_arg
+      $ abort_after_arg)
 
 (* --- serve ----------------------------------------------------------------- *)
 
 module Service = Ozo_serve.Service
-module Serve_cache = Ozo_serve.Cache
 
 let serve_cmd =
   let requests_arg =
@@ -668,10 +639,6 @@ let serve_cmd =
     in
     Arg.(required & opt (some string) None & info [ "requests" ] ~docv:"FILE" ~doc)
   in
-  let repeat_arg =
-    let doc = "Drain the request list N times (later passes warm the cache)." in
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N" ~doc)
-  in
   let cache_cap_arg =
     let doc =
       "Maximum cached compiled modules; least-recently-used entries are \
@@ -680,14 +647,9 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "cache-cap" ] ~docv:"N" ~doc)
   in
-  let journal_arg =
-    let doc = "Append every served row to this crash-safe JSONL journal." in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
-  let run requests small sanitize repeat cache_cap journal domains machine =
+  let run requests fl repeat cache_cap journal =
     handle
       (let ( let* ) = Result.bind in
-       let* machine = parse_machine machine in
        let* queue =
          match Service.load_requests requests with
          | q -> Ok q
@@ -696,9 +658,9 @@ let serve_cmd =
        let* () = if queue = [] then Error (`Msg "empty request file") else Ok () in
        let opts =
          { Service.default with
-           Service.sv_small = small; sv_sanitize = sanitize; sv_repeat = repeat;
-           sv_cache_cap = cache_cap; sv_journal = journal; sv_domains = domains;
-           sv_machine = machine }
+           Service.sv_small = fl.small; sv_sanitize = fl.sanitize;
+           sv_repeat = repeat; sv_cache_cap = cache_cap; sv_journal = journal;
+           sv_domains = fl.domains; sv_machine = fl.machine }
        in
        let* ms, stats =
          match Service.run opts queue with
@@ -708,13 +670,7 @@ let serve_cmd =
        Fmt.pr "%a" R.pp_csv_header ();
        List.iter (Fmt.pr "%a" R.pp_csv) ms;
        Fmt.pr "%a" Service.pp_stats stats;
-       let dead = List.filter (fun m -> Result.is_error m.E.r_check) ms in
-       if dead = [] then Ok ()
-       else
-         Error
-           (`Msg
-             (Fmt.str "service finished with %d dead row(s):@.%a"
-                (List.length dead) R.pp_faults dead)))
+       fail_on_dead "service" ms)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -724,48 +680,10 @@ let serve_cmd =
           as campaign CSV (plus cache/latency columns) followed by \
           \"serve:\"-prefixed stats (hit rate, launches/sec, latency \
           percentiles)")
-    Term.(const run $ requests_arg $ small_arg $ sanitize_arg $ repeat_arg
-          $ cache_cap_arg $ journal_arg $ domains_arg $ machine_arg)
-
-let bench_service_cmd =
-  let run small domains =
-    handle
-      (let ( let* ) = Result.bind in
-       let queue =
-         List.concat_map
-           (fun p -> List.map (fun b -> (p.Proxy.p_name, b)) E.build_names)
-           (Registry.all ())
-       in
-       let opts = { Service.default with Service.sv_small = small; sv_domains = domains } in
-       let cache = Serve_cache.create () in
-       let cold_ms, cold = Service.run ~cache opts queue in
-       let warm_ms, warm = Service.run ~cache opts queue in
-       Fmt.pr "cold: %a" Service.pp_stats cold;
-       Fmt.pr "warm: %a" Service.pp_stats warm;
-       Fmt.pr "warm speedup: %.2fx launches/sec@."
-         (if cold.Service.st_launches_per_sec > 0.0 then
-            warm.Service.st_launches_per_sec /. cold.Service.st_launches_per_sec
-          else 0.0);
-       let strip m = { m with E.r_cache_disp = "-"; r_latency_us = 0.0 } in
-       let* () =
-         if List.map strip warm_ms = List.map strip cold_ms then Ok ()
-         else Error (`Msg "warm rows differ from cold rows")
-       in
-       if warm.Service.st_cache.Serve_cache.cs_misses = 0 then Ok ()
-       else
-         Error
-           (`Msg
-             (Fmt.str "warm pass recompiled %d module(s); expected 0"
-                warm.Service.st_cache.Serve_cache.cs_misses)))
-  in
-  Cmd.v
-    (Cmd.info "bench-service"
-       ~doc:
-         "Benchmark the serving tier: drain every proxy under every standard \
-          build twice against one cache, report cold vs warm launches/sec and \
-          latency percentiles, check warm rows are bit-identical to cold and \
-          exit non-zero if the warm pass recompiled anything")
-    Term.(const run $ small_arg $ domains_arg)
+    Term.(
+      const run $ requests_arg
+      $ flags_term [ Machine_desc; Domains; Sanitize ]
+      $ repeat_arg $ cache_cap_arg $ journal_arg)
 
 (* --- fuzz ----------------------------------------------------------------- *)
 
@@ -787,7 +705,14 @@ let fuzz_cmd =
       "Plant a known miscompile in the full pipeline (flip-add: first Add \
        becomes Sub) to prove the fuzzer finds and shrinks it."
     in
-    Arg.(value & opt (some string) None & info [ "plant" ] ~docv:"PASS" ~doc)
+    let plant =
+      conv
+        (fun n ->
+          Option.to_result (Fuzz.plant_of_name n)
+            ~none:("unknown plant pass " ^ n ^ " (flip-add)"))
+        (fun ppf _ -> Fmt.string ppf "<plant>")
+    in
+    Arg.(value & opt (some plant) None & info [ "plant" ] ~docv:"PASS" ~doc)
   in
   let sweep_arg =
     let doc =
@@ -796,27 +721,11 @@ let fuzz_cmd =
       ^ ") to the differential sweep; digests must stay bit-identical across \
          wavefront widths. Repeatable."
     in
-    Arg.(value & opt_all string [] & info [ "machine" ] ~docv:"MACHINE" ~doc)
+    Arg.(value & opt_all machine_conv [] & info [ "machine" ] ~docv:"MACHINE" ~doc)
   in
   let run seeds base_seed out plant sweep =
     handle
-      (let ( let* ) = Result.bind in
-       let* plant =
-         match plant with
-         | None -> Ok None
-         | Some n -> (
-           match Fuzz.plant_of_name n with
-           | Some p -> Ok (Some p)
-           | None -> Error (`Msg ("unknown plant pass " ^ n ^ " (flip-add)")))
-       in
-       let* sweep =
-         List.fold_left
-           (fun acc name ->
-             Result.bind acc (fun ms ->
-                 Result.map (fun m -> ms @ [ m ]) (parse_machine name)))
-           (Ok []) sweep
-       in
-       let r =
+      (let r =
          Fuzz.run ?plant ~sweep ~seeds ~base_seed
            ~on_case:(fun seed clean ->
              if not clean then Fmt.pr "seed %d: FAIL@." seed)
@@ -833,10 +742,8 @@ let fuzz_cmd =
                fl.Fuzz.fl_seed fl.Fuzz.fl_signature fl.Fuzz.fl_insts_before
                fl.Fuzz.fl_insts_after)
            failures;
-         let first = List.hd failures in
-         let oc = open_out out in
-         output_string oc (Fuzz.repro_text first);
-         close_out oc;
+         Out_channel.with_open_bin out (fun oc ->
+             output_string oc (Fuzz.repro_text (List.hd failures)));
          Fmt.pr "wrote minimized repro to %s@." out;
          Error
            (`Msg
@@ -881,11 +788,6 @@ let machines_cmd =
 (* --- tune ------------------------------------------------------------------- *)
 
 let tune_cmd =
-  let csv_arg =
-    Arg.(value & flag
-         & info [ "csv" ]
-             ~doc:"Emit one CSV row per scored candidate instead of the table.")
-  in
   let tune_seed_arg =
     let doc = "Seed for the deterministic tie-break among equal-scored shapes." in
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc)
@@ -898,20 +800,14 @@ let tune_cmd =
     in
     Arg.(value & opt int 0 & info [ "measure" ] ~docv:"K" ~doc)
   in
-  let journal_arg =
-    let doc = "Append the verdict as one JSON line to this file." in
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
-  in
-  let run name build small seed measure csv journal domains exec machine =
+  let run t seed measure csv journal =
     handle
       (let ( let* ) = Result.bind in
-       let* p = find_proxy small name in
-       let* exec = parse_exec exec in
-       let* machine = parse_machine machine in
+       let fl = t.fl in
        let* v =
          match
-           Tune.search ~seed ~measure_top:measure ~domains ~exec ~machine p
-             ~build_name:build
+           Tune.search ~seed ~measure_top:measure ~domains:fl.domains
+             ~exec:fl.exec ~machine:fl.machine t.proxy ~build_name:t.build_name
          with
          | v -> Ok v
          | exception Tune.Tune_error e -> Error (`Msg e)
@@ -922,9 +818,7 @@ let tune_cmd =
          Fmt.pr "%a" Tune.pp_csv v
        end
        else Fmt.pr "%a" Tune.pp_verdict v;
-       (match journal with
-       | Some path -> Tune.append_journal ~path v
-       | None -> ());
+       Option.iter (fun path -> Tune.append_journal ~path v) journal;
        Ok ())
   in
   Cmd.v
@@ -935,41 +829,33 @@ let tune_cmd =
           default iteration space, scored by the occupancy model plus a \
           probe-calibrated cycle prediction, with deterministic seeded \
           tie-breaks and opt-in measured refinement of the top K")
-    Term.(const run $ proxy_arg $ build_arg $ small_arg $ tune_seed_arg
-          $ measure_arg $ csv_arg $ journal_arg $ domains_arg $ exec_arg
-          $ machine_arg)
+    Term.(
+      const run
+      $ request_term [ Build; Machine_desc; Domains; Exec ]
+      $ tune_seed_arg $ measure_arg $ csv_arg $ journal_arg)
 
 (* --- matrix ----------------------------------------------------------------- *)
 
 let matrix_cmd =
-  let csv_arg =
-    Arg.(value & flag
-         & info [ "csv" ] ~doc:"Emit the machine-readable matrix CSV only.")
-  in
   let machines_arg =
-    let doc =
-      "Comma-separated machine set to sweep (default "
-      ^ String.concat "," Matrix.default_machines ^ ")."
-    in
-    Arg.(value & opt (some string) None & info [ "machines" ] ~docv:"LIST" ~doc)
+    let doc = "Comma-separated machine set to sweep." in
+    Arg.(value & opt (list string) Matrix.default_machines
+         & info [ "machines" ] ~docv:"LIST" ~doc)
   in
   let proxy_opt_arg =
     let doc = "Restrict the sweep to this proxy (repeatable; default all)." in
     Arg.(value & opt_all string [] & info [ "proxy" ] ~docv:"PROXY" ~doc)
   in
-  let run small csv machines proxies domains exec =
+  let run fl csv machines proxies =
     handle
       (let ( let* ) = Result.bind in
-       let* exec = parse_exec exec in
-       let machines =
-         match machines with
-         | None -> Matrix.default_machines
-         | Some s ->
-           List.filter (fun x -> x <> "") (String.split_on_char ',' s)
-       in
+       let machines = List.filter (fun x -> x <> "") machines in
        let proxies = match proxies with [] -> None | ps -> Some ps in
        let* t =
-         match Matrix.run ~small ~machines ?proxies ~domains ~exec () with
+         match
+           Matrix.run ~small:fl.small ~machines ?proxies ~domains:fl.domains
+             ~exec:fl.exec ()
+         with
          | t -> Ok t
          | exception Matrix.Matrix_error e -> Error (`Msg e)
          | exception E.Harness_error e -> Error (`Msg e)
@@ -998,8 +884,9 @@ let matrix_cmd =
           machine through one shared compile cache, reporting per-machine \
           relative performance (Old RT = 1.00), application efficiency and \
           the Pennycook performance-portability harmonic mean")
-    Term.(const run $ small_arg $ csv_arg $ machines_arg $ proxy_opt_arg
-          $ domains_arg $ exec_arg)
+    Term.(
+      const run $ flags_term [ Domains; Exec ] $ csv_arg $ machines_arg
+      $ proxy_opt_arg)
 
 let () =
   let doc = "reproduction of the near-zero-overhead OpenMP GPU runtime (IPDPS'22)" in
@@ -1008,4 +895,4 @@ let () =
        (Cmd.group (Cmd.info "ozo_cli" ~doc)
           [ list_cmd; run_cmd; inspect_cmd; remarks_cmd; trace_cmd; regs_cmd;
             vm_cmd; ablate_cmd; sanitize_cmd; campaign_cmd; serve_cmd;
-            bench_service_cmd; fuzz_cmd; machines_cmd; tune_cmd; matrix_cmd ]))
+            fuzz_cmd; machines_cmd; tune_cmd; matrix_cmd ]))

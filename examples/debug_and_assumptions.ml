@@ -26,11 +26,12 @@ let kernel ~with_assert =
           @ [ Store (P "out", P "i", MI64, Mul (P "i", Int 7)) ] ) }
 
 let try_run label build k ~teams ~threads ~n ~check_assumes =
-  let c = C.compile build k in
-  let dev = C.device c in
-  let out = Device.alloc dev (n * 8) in
   let opts = { Device.Launch_opts.default with Device.Launch_opts.check_assumes } in
-  match C.launch ~opts c dev ~teams ~threads [ Engine.Ai (Device.ptr out); Ai n ] with
+  let r = C.Request.make ~opts ~build ~teams ~threads () in
+  let c = C.compile_request r k in
+  let dev = C.device_request r c in
+  let out = Device.alloc dev (n * 8) in
+  match C.launch_request r c dev [ Engine.Ai (Device.ptr out); Ai n ] with
   | Ok m ->
     Fmt.pr "  %-44s completed (%.0f cycles)@." label m.C.m_kernel_cycles
   | Error e -> Fmt.pr "  %-44s %a@." label Device.pp_error e

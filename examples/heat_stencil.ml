@@ -75,17 +75,17 @@ let expected () =
 
 let run (build : C.build) =
   let n = nx * ny in
-  let compiled = C.compile build kernel in
-  let dev = C.device compiled in
+  let req = C.Request.make ~build ~teams:((n + 63) / 64) ~threads:64 () in
+  let compiled = C.compile_request req kernel in
+  let dev = C.device_request req compiled in
   let a = Device.alloc dev (n * 8) and b = Device.alloc dev (n * 8) in
   Device.write_f64_array dev a initial;
   let total = ref 0.0 in
   let src = ref a and dst = ref b in
-  let teams = (n + 63) / 64 in
   (try
      for _ = 1 to steps do
        (match
-          C.launch compiled dev ~teams ~threads:64
+          C.launch_request req compiled dev
             [ Engine.Ai (Device.ptr !src); Ai (Device.ptr !dst); Ai n ]
         with
        | Ok m -> total := !total +. m.C.m_kernel_cycles

@@ -34,15 +34,17 @@ let threads = 64
 let teams = (n + threads - 1) / threads
 
 let run (build : C.build) =
-  let compiled = C.compile build saxpy in
-  let dev = C.device compiled in
+  (* one request: what to compile and how to launch it *)
+  let req = C.Request.make ~build ~teams ~threads () in
+  let compiled = C.compile_request req saxpy in
+  let dev = C.device_request req compiled in
   (* allocate and fill device buffers *)
   let x = Device.alloc dev (n * 8) and y = Device.alloc dev (n * 8) in
   let out = Device.alloc dev (n * 8) in
   Device.write_f64_array dev x (Array.init n float_of_int);
   Device.write_f64_array dev y (Array.init n (fun i -> float_of_int (2 * i)));
   match
-    C.launch compiled dev ~teams ~threads
+    C.launch_request req compiled dev
       [ Engine.Af 3.0; Ai (Device.ptr x); Ai (Device.ptr y); Ai (Device.ptr out); Ai n ]
   with
   | Error e -> Fmt.pr "%-26s launch error: %a@." build.C.b_label Device.pp_error e

@@ -231,57 +231,14 @@ type metrics = {
 let spill_count (c : compiled) =
   c.c_lower.Backend.lw_spill_loads + c.c_lower.Backend.lw_spill_stores
 
-(* Create a device for a compiled kernel (callers allocate buffers on it
-   before launching). [~sanitize] arms the SIMT sanitizer's shadow state. *)
-let device ?params ?(sanitize = false) (c : compiled) =
-  (* the engine runs under the compile's machine: wavefront width drives
-     reconvergence, coalescing buckets and uniform-strand scalarization,
-     not just the occupancy arithmetic (identity on [Cost.default] for
-     the default [Machine.vgpu]) *)
-  let params =
-    match params with
-    | Some p -> p
-    | None -> Machine.cost_params c.c_machine
-  in
-  Device.create ~params ~sanitize ~exec:c.c_exec
-    ~plan:c.c_lower.Backend.lw_plan c.c_module
-
-let launch ?(opts = Device.Launch_opts.default) (c : compiled) (dev : Device.t)
-    ~teams ~threads (args : Engine.arg list) : (metrics, Device.error) result =
-  let hw = hw_threads c ~threads in
-  match Device.launch ~opts dev ~teams ~threads:hw args with
-  | Error e -> Error e
-  | Ok r ->
-    (* residency via the backend's occupancy calculator (under the
-       default [Machine.vgpu] descriptor this computes exactly what
-       [Cost.occupancy] did) *)
-    let occ =
-      Machine.to_cost_occupancy
-        (Machine.occupancy c.c_machine ~threads_per_team:hw
-           ~regs_per_thread:c.c_regs ~shared_per_team:c.c_smem)
-    in
-    let cp = Machine.cost_params c.c_machine in
-    let cycles =
-      Cost.kernel_time cp ~occupancy:occ
-        ~team_cycles:(List.map (fun ct -> ct.Counters.cycles) r.Engine.r_counters)
-        ~mem_cycles:(Counters.memory_cycles cp r.Engine.r_total)
-    in
-    Ok
-      { m_counters = r.Engine.r_total; m_kernel_cycles = cycles; m_regs = c.c_regs;
-        m_smem = c.c_smem; m_occupancy = occ.Cost.o_occupancy;
-        m_spills = spill_count c;
-        m_hotspots = r.Engine.r_hotspots }
-
 (* ---------- the unified request API ------------------------------------ *)
 
 (* One record describing a complete unit of work — what to compile (build
    × machine), how to launch it (shape × [Launch_opts.t]) and which
-   workload it belongs to. This replaces the old optional-argument split
-   between [compile ?trace ?machine] and [launch ?opts ~teams ~threads]:
-   both the one-shot harness path and the serving tier's work queue
-   consume the same [Request.t], so a queued request is exactly a
-   first-class value of the ad-hoc parameter soup it displaced. The
-   legacy entry points above survive as thin wrappers. *)
+   workload it belongs to. Both the one-shot harness path and the
+   serving tier's work queue consume the same [Request.t]: device
+   creation and launch take nothing else, and [compile] is the compile
+   stage itself, which needs no launch geometry. *)
 module Request = struct
   type t = {
     rq_proxy : string;            (* workload name, for reporting/stats *)
@@ -326,10 +283,43 @@ let keyed_compile_request (r : Request.t) (k : Ast.kernel) :
       compile_linked ~trace:(Request.trace r) ~machine:r.Request.rq_machine
         ~exec:r.Request.rq_exec r.Request.rq_build ~kernel:k linked )
 
+(* Create a device for the request's compiled kernel (callers allocate
+   buffers on it before launching); [rq_sanitize] arms the SIMT
+   sanitizer's shadow state. The engine runs under the compile's
+   machine: wavefront width drives reconvergence, coalescing buckets and
+   uniform-strand scalarization, not just the occupancy arithmetic
+   (identity on [Cost.default] for the default [Machine.vgpu]). *)
 let device_request (r : Request.t) (c : compiled) : Device.t =
-  device ~sanitize:r.Request.rq_sanitize c
+  Device.create ~params:(Machine.cost_params c.c_machine)
+    ~sanitize:r.Request.rq_sanitize ~exec:c.c_exec
+    ~plan:c.c_lower.Backend.lw_plan c.c_module
 
+(* Launch the request's shape under its [Launch_opts.t] and price the
+   run: residency comes from the backend's occupancy calculator (under
+   the default [Machine.vgpu] descriptor this computes exactly what
+   [Cost.occupancy] did). *)
 let launch_request (r : Request.t) (c : compiled) (dev : Device.t)
     (args : Engine.arg list) : (metrics, Device.error) result =
-  launch ~opts:r.Request.rq_opts c dev ~teams:r.Request.rq_teams
-    ~threads:r.Request.rq_threads args
+  let hw = hw_threads c ~threads:r.Request.rq_threads in
+  match
+    Device.launch ~opts:r.Request.rq_opts dev ~teams:r.Request.rq_teams
+      ~threads:hw args
+  with
+  | Error e -> Error e
+  | Ok res ->
+    let occ =
+      Machine.to_cost_occupancy
+        (Machine.occupancy c.c_machine ~threads_per_team:hw
+           ~regs_per_thread:c.c_regs ~shared_per_team:c.c_smem)
+    in
+    let cp = Machine.cost_params c.c_machine in
+    let cycles =
+      Cost.kernel_time cp ~occupancy:occ
+        ~team_cycles:(List.map (fun ct -> ct.Counters.cycles) res.Engine.r_counters)
+        ~mem_cycles:(Counters.memory_cycles cp res.Engine.r_total)
+    in
+    Ok
+      { m_counters = res.Engine.r_total; m_kernel_cycles = cycles; m_regs = c.c_regs;
+        m_smem = c.c_smem; m_occupancy = occ.Cost.o_occupancy;
+        m_spills = spill_count c;
+        m_hotspots = res.Engine.r_hotspots }

@@ -8,7 +8,7 @@
    oversubscription flags the application can honestly pass
    (Proxy.assume_profile).
 
-   A faulting build row no longer aborts the campaign: [measure] records
+   A faulting build row no longer aborts the campaign: [measure_request] records
    the structured fault and walks the fallback ladder
    (full -> nightly -> baseline -> O0), re-running the proxy at each
    weaker pipeline — without the injection that may have felled the
@@ -129,8 +129,7 @@ let dead_measurement ?(fallbacks = []) ?(machine = "vgpu") ~proxy ~build fault :
 
 (* The request for one standard harness row: the proxy's launch geometry
    under one build, with the measurement options folded into
-   [Launch_opts.t]. Everything [measure] used to take as optional
-   arguments is a plain field here. *)
+   [Launch_opts.t]: every measurement option is a plain field here. *)
 let request_for ?(check_assumes = false) ?(sanitize = false) ?inject ?watchdog
     ?(trace = Trace.null) ?(profile = false) ?(domains = 1) ?exec ?machine
     (p : Proxy.t) (b : C.build) : C.Request.t =
@@ -226,31 +225,11 @@ let measure_request ?(compiler = C.compile_request) (p : Proxy.t)
     in
     ladder b.C.b_pipe [] primary_meas
 
-(* legacy shim: the optional-argument surface, now a [Request.t] builder *)
-let measure ?check_assumes ?sanitize ?inject ?watchdog ?trace ?profile ?domains
-    ?exec ?machine ?compiler (p : Proxy.t) (b : C.build) : measurement =
-  measure_request ?compiler p
-    (request_for ?check_assumes ?sanitize ?inject ?watchdog ?trace ?profile
-       ?domains ?exec ?machine p b)
-
 (* Figure 10 (a-d) + the TestSNAP column: relative performance of every
-   build, normalized to Old RT (Nightly) — the paper's baseline. *)
-let fig10 (p : Proxy.t) : measurement list = List.map (measure p) (builds_for p)
-
-(* a full campaign over the standard build rows, with optional sanitizer
-   and fault injection; the injection perturbs only each row's primary
-   attempt, so fallbacks re-validate clean. [domains] shards each row's
-   team loop over OCaml domains — results are bit-identical to
-   [domains:1], only wall-clock changes *)
-let campaign ?check_assumes ?sanitize ?inject ?trace ?profile ?domains ?exec
-    (p : Proxy.t) : measurement list =
-  List.map
-    (measure ?check_assumes ?sanitize ?inject ?trace ?profile ?domains ?exec p)
-    (builds_for p)
-
-(* Figure 11: kernel time / registers / shared memory per build. Same
-   measurements as fig10; kept separate for reporting. *)
-let fig11 = fig10
+   build, normalized to Old RT (Nightly) — the paper's baseline. The same
+   rows feed Figure 11 (kernel time / registers / shared memory). *)
+let fig10 (p : Proxy.t) : measurement list =
+  List.map (fun b -> measure_request p (request_for p b)) (builds_for p)
 
 (* Figure 12: GridMini GFlops across builds (flops per simulated kernel
    cycle, scaled — absolute units are arbitrary in simulation). *)
@@ -260,14 +239,15 @@ let fig12 () : measurement list = fig10 (Ozo_proxies.Registry.find_exn "gridmini
    time. Returns (feature name, measurement) with the full build first. *)
 let ablation (p : Proxy.t) : (string * measurement) list =
   let full = new_rt_for p in
-  ("full", measure p full)
+  let row b = measure_request p (request_for p b) in
+  ("full", row full)
   :: List.map
-       (fun f -> (Pipeline.feature_name f, measure p (C.without f full)))
+       (fun f -> (Pipeline.feature_name f, row (C.without f full)))
        [ Pipeline.B1; Pipeline.B2; Pipeline.B3; Pipeline.B4; Pipeline.C; Pipeline.D ]
 
 (* debug-mode validation run: every assumption checked at runtime *)
 let debug_run (p : Proxy.t) : measurement =
-  measure ~check_assumes:true p (C.with_debug (new_rt_for p))
+  measure_request p (request_for ~check_assumes:true p (C.with_debug (new_rt_for p)))
 
 let find_proxy name =
   match Ozo_proxies.Registry.find name with

@@ -165,3 +165,58 @@ let contains outer inner =
     in
     its >= ots -. 1e-6 && iend <= ots +. odur +. 1e-6
   | _ -> false
+
+(* Structural check of one traced compile + launch (what `ozo trace
+   --check` runs): schema, pass spans nested under the compile span,
+   phase spans under the launch span, hot-spot events and a nonzero
+   analysis-cache hit count present. Containment is checked over the
+   flat event list, since nesting in this format is conveyed by time
+   ranges on one tid. Returns (events, pass spans, hot spots, cache
+   hits). *)
+let check_run s =
+  let ( let* ) = Result.bind in
+  let fail_if bad msg = if bad then Error msg else Ok () in
+  let* events = validate s in
+  let require name =
+    match spans_by_name events name with
+    | [] -> Error ("trace has no \"" ^ name ^ "\" span")
+    | sp :: _ -> Ok sp
+  in
+  let* compile = require "compile" in
+  let* launch = require "launch" in
+  let* _ = require "decode" in
+  let* _ = require "execute" in
+  let* _ = require "readback" in
+  let named prefix ev =
+    Option.fold ~none:false ~some:(String.starts_with ~prefix) (ev_name ev)
+  in
+  let passes = List.filter (fun ev -> named "pass:" ev && ev_ph ev = Some "X") events in
+  let* () = fail_if (passes = []) "trace has no pass spans" in
+  let* () =
+    fail_if
+      (not (List.for_all (contains compile) passes))
+      "pass spans are not nested under the compile span"
+  in
+  let phases = List.concat_map (spans_by_name events) [ "decode"; "execute"; "readback" ] in
+  let* () =
+    fail_if
+      (not (List.for_all (contains launch) phases))
+      "phase spans are not nested under the launch span"
+  in
+  let hots = List.filter (named "hot:") events in
+  let* () = fail_if (hots = []) "trace has no hot-spot events" in
+  (* the pipeline must have reported its analysis-cache counters, and a
+     traced compile of a real proxy must have produced cache hits *)
+  let* cache =
+    Option.to_result ~none:"trace has no analysis-cache event"
+      (List.find_opt
+         (fun ev -> ev_ph ev = Some "i" && ev_name ev = Some "analysis-cache")
+         events)
+  in
+  let* hits =
+    Option.to_result ~none:"analysis-cache event lacks a numeric hits arg"
+      (Option.bind (Json.member "args" cache) (Json.member "hits")
+      |> Fun.flip Option.bind Json.to_number)
+  in
+  let* () = fail_if (hits <= 0.0) "analysis-cache event reports zero hits" in
+  Ok (List.length events, List.length passes, List.length hots, int_of_float hits)

@@ -49,18 +49,15 @@ exception Aborted of string
    options must be refused, not silently mixed *)
 let fingerprint (o : opts) : string =
   Printf.sprintf
-    "proxies=%s;small=%b;repeat=%d;inject=%s;sanitize=%b;assumes=%b;domains=%d;exec=%s"
+    "proxies=%s;small=%b;repeat=%d;inject=%s;sanitize=%b;assumes=%b;domains=%d;machine=%s;exec=%s"
     (String.concat "," o.co_proxies)
     o.co_small o.co_repeat
     (match o.co_inject with
     | Some s -> Faultinject.spec_to_string s ^ "#" ^ string_of_int s.Faultinject.s_seed
     | None -> "-")
     o.co_sanitize o.co_check_assumes o.co_domains
+    o.co_machine.Ozo_backend.Machine.mc_name
     (Ozo_vgpu.Engine.exec_name o.co_exec)
-  (* appended only off the default so pre-matrix journals still resume *)
-  ^
-  if o.co_machine.Ozo_backend.Machine.mc_name = "vgpu" then ""
-  else ";machine=" ^ o.co_machine.Ozo_backend.Machine.mc_name
 
 let resolve (o : opts) name : Proxy.t =
   let pool =

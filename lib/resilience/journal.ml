@@ -10,9 +10,13 @@
    the structured fault and all engine counters — so replayed rows
    render byte-identically through [Report.pp_csv].
 
-   [load] tolerates a torn final line (the row being written when the
-   process died): it is simply dropped and re-measured on resume. A
-   malformed line anywhere earlier is a hard error. *)
+   There is one schema: the header carries [version] and [load] refuses
+   any other, and every measurement field is required. Journals are
+   local scratch, not an archive, so an old file is an error to
+   re-run, not a format to decode. [load] tolerates a torn final line
+   (the row being written when the process died, which no longer
+   parses as JSON): it is simply dropped and re-measured on resume.
+   Any other malformed line is a hard error naming its 1-based line. *)
 
 module E = Ozo_harness.Experiments
 module Fault = Ozo_vgpu.Fault
@@ -287,25 +291,11 @@ let measurement_of_json (j : Json.t) : (E.measurement, string) result =
   let* retries = dec_int "retries" j in
   let* deadline = dec_bool "deadline" j in
   let* breaker = dec_str "breaker" j in
-  (* absent in journals written before the threaded-code executor *)
-  let* exec =
-    match mem "exec" j with None -> Ok "ir" | Some _ -> dec_str "exec" j
-  in
-  (* absent in journals written before the domain-parallel engine *)
-  let* domains =
-    match mem "domains" j with None -> Ok 1 | Some _ -> dec_int "domains" j
-  in
-  (* absent in journals written before the serving tier *)
-  let* cache_disp =
-    match mem "cachedisp" j with None -> Ok "-" | Some _ -> dec_str "cachedisp" j
-  in
-  let* latency_us =
-    match mem "latency_us" j with None -> Ok 0.0 | Some _ -> dec_num "latency_us" j
-  in
-  (* absent in journals written before the portability matrix *)
-  let* machine =
-    match mem "machine" j with None -> Ok "vgpu" | Some _ -> dec_str "machine" j
-  in
+  let* exec = dec_str "exec" j in
+  let* domains = dec_int "domains" j in
+  let* cache_disp = dec_str "cachedisp" j in
+  let* latency_us = dec_num "latency_us" j in
+  let* machine = dec_str "machine" j in
   Ok
     { E.r_proxy = proxy; r_build = build; r_machine = machine; r_cycles = cycles;
       r_regs = regs;
@@ -327,12 +317,15 @@ let sync oc =
   (* fsync so a SIGKILL (or power loss) cannot lose an acked row *)
   try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
 
+(* the one schema [load] accepts: every measurement field is required *)
+let version = 2
+
 let start ~path ~fingerprint : writer =
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
   let b = Buffer.create 128 in
   obj b (fun f ->
       f "journal" (fun b -> esc b "ozo-campaign");
-      f "version" (fun b -> int_ b 1);
+      f "version" (fun b -> int_ b version);
       f "fingerprint" (fun b -> esc b fingerprint));
   output_string oc (Buffer.contents b);
   output_char oc '\n';
@@ -356,49 +349,50 @@ let close (w : writer) = close_out w.w_oc
 type entry = { e_seq : int; e_m : E.measurement }
 
 let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
+  In_channel.with_open_bin path (fun ic ->
+      let rec go acc =
+        match In_channel.input_line ic with
+        | Some line -> go (line :: acc)
+        | None -> List.rev acc
+      in
+      go [])
+
+(* every error names its 1-based journal line *)
+let at line r = Result.map_error (Printf.sprintf "line %d: %s" line) r
 
 let load ~path : (string * entry list, string) result =
   if not (Sys.file_exists path) then Error ("no such journal: " ^ path)
   else
     match read_lines path with
-    | [] -> Error "empty journal"
+    | [] -> at 1 (Error "empty journal")
     | header :: rows ->
-      let* hj =
-        match Json.parse header with
-        | Ok j -> Ok j
-        | Error e -> Error ("bad journal header: " ^ e)
+      let* fp =
+        at 1
+          (let* hj =
+             Result.map_error (( ^ ) "bad journal header: ") (Json.parse header)
+           in
+           let* v = dec_int "version" hj in
+           if v <> version then
+             Error (Printf.sprintf "journal version %d, expected %d" v version)
+           else dec_str "fingerprint" hj)
       in
-      let* fp = dec_str "fingerprint" hj in
-      let n = List.length rows in
-      let rec go i acc = function
+      let rec go lnum acc = function
         | [] -> Ok (List.rev acc)
-        | line :: rest -> (
-          let parsed =
-            let* j =
-              match Json.parse line with
-              | Ok j -> Ok j
-              | Error e -> Error ("bad journal line: " ^ e)
-            in
-            let* seq = dec_int "seq" j in
-            let* mj = want "m" (mem "m" j) in
-            let* m = measurement_of_json mj in
-            Ok { e_seq = seq; e_m = m }
+        | [ line ] when Result.is_error (Json.parse line) ->
+          (* a torn final line is the expected crash artifact *)
+          Ok (List.rev acc)
+        | line :: rest ->
+          let* e =
+            at lnum
+              (let* j =
+                 Result.map_error (( ^ ) "bad journal line: ") (Json.parse line)
+               in
+               let* seq = dec_int "seq" j in
+               let* mj = want "m" (mem "m" j) in
+               let* m = measurement_of_json mj in
+               Ok { e_seq = seq; e_m = m })
           in
-          match parsed with
-          | Ok e -> go (i + 1) (e :: acc) rest
-          | Error err ->
-            (* a torn final line is the expected crash artifact; anything
-               earlier means real corruption *)
-            if i = n - 1 then Ok (List.rev acc) else Error err)
+          go (lnum + 1) (e :: acc) rest
       in
-      let* entries = go 0 [] rows in
+      let* entries = go 2 [] rows in
       Ok (fp, entries)

@@ -109,16 +109,13 @@ let resolve_proxy (o : opts) name : Proxy.t =
    another *)
 let fingerprint (o : opts) (queue : (string * string) list) : string =
   Printf.sprintf
-    "serve;queue=%s;small=%b;repeat=%d;sanitize=%b;assumes=%b;domains=%d;cap=%s"
+    "serve;queue=%s;small=%b;repeat=%d;sanitize=%b;assumes=%b;domains=%d;cap=%s;machine=%s"
     (Digest.to_hex
        (Digest.string
           (String.concat ";" (List.map (fun (p, b) -> p ^ " " ^ b) queue))))
     o.sv_small o.sv_repeat o.sv_sanitize o.sv_check_assumes o.sv_domains
     (match o.sv_cache_cap with Some c -> string_of_int c | None -> "-")
-  (* appended only off the default so pre-matrix journals still resume *)
-  ^
-  if o.sv_machine.Ozo_backend.Machine.mc_name = "vgpu" then ""
-  else ";machine=" ^ o.sv_machine.Ozo_backend.Machine.mc_name
+    o.sv_machine.Ozo_backend.Machine.mc_name
 
 (* ---- percentiles ------------------------------------------------------- *)
 

@@ -1851,13 +1851,7 @@ let rec exec_dinst e tc (st : strand) (slot : slot) (di : dinst) :
             Memory.mark_alloc e.e_mem Global ~offset:off ~size:sz
         end
       done
-    | None ->
-      (* unreachable when the module was scanned for Malloc at launch;
-         kept as the legacy device-wide bump for direct [run] callers *)
-      for lane = 0 to n - 1 do
-        if um mask lane then
-          fr.fr_ints.(base + lane) <- Memory.malloc e.e_mem (ieval fr lane size)
-      done);
+    | None -> Fault.fail Fault.Internal "kernel malloc without a reserved arena");
     `Continue
   | D_free ->
     charge tc p.c_alu;

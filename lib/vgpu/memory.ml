@@ -427,7 +427,6 @@ let alloc_in t space buf size =
   | None -> ());
   encode space off
 
-let malloc t size = alloc_in t Global t.global size
 let alloc_const t size = alloc_in t Constant t.constant size
 let alloc_global t size = alloc_in t Global t.global size
 

@@ -160,12 +160,6 @@ diff _build/ci_seq.csv _build/ci_serve.csv || {
   echo "FAIL: served CSV differs from the sequential campaign"; exit 1; }
 echo "serve OK: ${hitrate}% cache hit rate, CSV identical to sequential campaign"
 
-echo "== serving tier: warm-cache bench =="
-# two passes over every proxy x build against one cache: the warm pass
-# must recompile nothing (100% hit rate) and reproduce the cold rows
-# bit-identically; prints cold vs warm launches/sec + latency percentiles
-"$CLI" bench-service --small
-
 echo "== portability: per-machine bit-identity + tuner suites =="
 # per machine descriptor (incl. the 64-wide mi250): counters, checks and
 # campaign CSV bytes identical across --domains {1,4} x --exec {ir,vm};

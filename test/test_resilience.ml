@@ -233,6 +233,66 @@ let test_journal_tolerates_torn_line () =
   | Ok (_, entries) -> Alcotest.(check int) "intact rows kept" 1 (List.length entries));
   Sys.remove path
 
+(* --- journal decoder: every error names its line ------------------------- *)
+
+(* [line] with its first [needle] replaced by [by] *)
+let replace needle ~by line =
+  let n = String.length needle in
+  let rec find i =
+    if i + n > String.length line then Alcotest.failf "no %s in %s" needle line
+    else if String.sub line i n = needle then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub line 0 i ^ by ^ String.sub line (i + n) (String.length line - i - n)
+
+(* Write a header + three-row journal, rewrite line [lnum] (1-based) with
+   [edit] and return the error [load] must report. *)
+let load_error ~lnum edit =
+  let path = Filename.temp_file "ozo_journal" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Journal.start ~path ~fingerprint:"fp" in
+      List.iteri
+        (fun seq build -> Journal.append w ~seq (ok_row ~proxy:"px" ~build))
+        [ "b0"; "b1"; "b2" ];
+      Journal.close w;
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iteri
+            (fun i l ->
+              output_string oc (if i + 1 = lnum then edit l else l);
+              output_char oc '\n')
+            lines);
+      match Journal.load ~path with
+      | Ok _ -> Alcotest.failf "line %d edit was accepted" lnum
+      | Error e -> e)
+
+let check_names_line ~lnum ~what e =
+  let prefix = Printf.sprintf "line %d: " lnum in
+  Alcotest.(check bool) ("error names line " ^ string_of_int lnum) true
+    (String.starts_with ~prefix e);
+  Alcotest.(check bool) ("error says " ^ what) true (contains e what)
+
+let test_journal_rejects_old_version () =
+  load_error ~lnum:1 (replace "\"version\":2" ~by:"\"version\":1")
+  |> check_names_line ~lnum:1 ~what:"version 1"
+
+(* a complete row without a field is a schema error, not a torn write,
+   even on the final line *)
+let test_journal_rejects_missing_field () =
+  load_error ~lnum:4 (replace ",\"machine\":\"vgpu\"" ~by:"")
+  |> check_names_line ~lnum:4 ~what:"machine"
+
+let test_journal_rejects_malformed_middle_line () =
+  load_error ~lnum:3 (fun l -> String.sub l 0 (String.length l / 2))
+  |> check_names_line ~lnum:3 ~what:"bad journal line"
+
 (* --- campaign kill / resume -------------------------------------------- *)
 
 let campaign_opts journal resume abort_after =
@@ -318,6 +378,11 @@ let suite =
     tc "watchdog: unexpired deadline is invisible" test_watchdog_quiet_when_unexpired;
     tc "journal: measurement roundtrip is csv-exact" test_journal_roundtrip;
     tc "journal: torn final line is tolerated" test_journal_tolerates_torn_line;
+    tc "journal: version-1 header rejected at line 1" test_journal_rejects_old_version;
+    tc "journal: row missing machine rejected at its line"
+      test_journal_rejects_missing_field;
+    tc "journal: malformed middle line rejected at its line"
+      test_journal_rejects_malformed_middle_line;
     tc "campaign: kill + resume produces identical csv" test_campaign_resume_identical;
     tc "campaign: resume refuses a foreign journal" test_campaign_resume_rejects_other_fingerprint;
     tc "irgen: generated modules always verify" test_irgen_always_verifies;

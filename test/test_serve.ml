@@ -247,7 +247,7 @@ let test_served_vs_sequential () =
   let queue = List.map (fun b -> ("xsbench", b)) E.build_names in
   (* a 2-domain service against the plain sequential harness *)
   let served, _ = Service.run { opts with Service.sv_domains = 2 } queue in
-  let sequential = List.map (E.measure p) (E.builds_for p) in
+  let sequential = E.fig10 p in
   let normalize m =
     { m with E.r_cache_disp = "-"; r_latency_us = 0.0; r_domains = 1 }
   in
@@ -300,10 +300,6 @@ let test_wrapper_parity () =
   let r = request p in
   let k = Proxy.kernel_for p r.Request.rq_build.C.b_abi in
   let via_request = C.compile_request r k in
-  let via_legacy = C.compile r.Request.rq_build k in
-  Alcotest.(check string) "legacy compile = compile_request"
-    (run_fingerprint p r via_request)
-    (run_fingerprint p r via_legacy);
   let _, finish = C.keyed_compile_request r k in
   Alcotest.(check string) "keyed thunk = compile_request"
     (run_fingerprint p r via_request)
@@ -319,7 +315,10 @@ let test_csv_columns () =
   Alcotest.(check int) "header matches csv_columns"
     (List.length R.csv_columns) (count_fields header);
   let p = small "xsbench" in
-  let row = Fmt.str "%a" R.pp_csv (E.measure p C.new_rt) |> String.trim in
+  let row =
+    Fmt.str "%a" R.pp_csv (E.measure_request p (E.request_for p C.new_rt))
+    |> String.trim
+  in
   Alcotest.(check int) "row matches csv_columns"
     (List.length R.csv_columns) (count_fields row);
   (* the trailing columns regression diffs strip, in order *)

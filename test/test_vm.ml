@@ -38,15 +38,14 @@ let tc = Alcotest.test_case
 let run_once ?inject ?(sanitize = false) ?(domains = 1) ?machine ~exec
     (p : Proxy.t) (b : C.build) :
     (Engine.result * (unit, string) result, Fault.t) result =
-  let c = C.compile ?machine ~exec b (Proxy.kernel_for p b.C.b_abi) in
-  let dev = C.device ~sanitize c in
+  let r = E.request_for ?inject ~sanitize ~domains ?machine ~exec p b in
+  let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
+  let dev = C.device_request r c in
   let inst = p.Proxy.p_setup dev in
-  let opts =
-    { Device.Launch_opts.default with Device.Launch_opts.domains; inject }
-  in
   let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
   match
-    Device.launch ~opts dev ~teams:p.Proxy.p_teams ~threads:hw inst.Proxy.i_args
+    Device.launch ~opts:r.C.Request.rq_opts dev ~teams:p.Proxy.p_teams
+      ~threads:hw inst.Proxy.i_args
   with
   | Ok r -> Ok (r, inst.Proxy.i_check ())
   | Error f -> Error f
@@ -164,8 +163,8 @@ let test_csv_bytes_identical () =
      which records how the row ran *)
   let normalize m = { m with E.r_phase_us = []; r_exec = "ir" } in
   let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
-  let mi = E.measure ~exec:Engine.Exec_ir p b in
-  let mv = E.measure ~exec:Engine.Exec_vm p b in
+  let row exec = E.measure_request p (E.request_for ~exec p b) in
+  let mi = row Engine.Exec_ir and mv = row Engine.Exec_vm in
   Alcotest.(check string) "exec path recorded" "vm" mv.E.r_exec;
   Alcotest.(check string) "csv bytes identical" (csv mi) (csv mv)
 
