@@ -446,8 +446,9 @@ let vm_cmd =
     let l = c.C.c_lower in
     let plan_of fn = List.assoc_opt fn l.L.lw_plan in
     (* per-function rows over the VM program the resource model prices;
-       "plan" says whether the threaded executor runs this function
-       renamed (spill-free) or falls back to interpretation *)
+       "plan" says whether the engine runs this function renamed onto
+       its physical registers (spill-free, "vm") or on its virtual
+       registers ("ir") *)
     let rows =
       List.map (fun fl -> (fl, V.func_stats fl.L.fl_vm)) l.L.lw_funcs
     in
@@ -496,8 +497,9 @@ let vm_cmd =
        ~doc:
          "Dump the register-allocated VM form the threaded executor runs: \
           per-function instruction mix (ops/moves/reloads/spills), resource \
-          numbers and whether the threaded path executes it renamed (vm) or \
-          interprets it (ir); --listing prints the full stream")
+          numbers and whether the engine executes it renamed onto physical \
+          registers (vm) or on its virtual registers (ir); --listing prints \
+          the full stream")
     Term.(
       const run $ request_term [ Build; Machine_desc; Max_regs ] $ csv_arg
       $ listing_arg)

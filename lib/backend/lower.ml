@@ -307,8 +307,8 @@ let run ?(machine = Machine.vgpu) ?am ?(trace = Trace.null) (m : modul)
          their allocation is reused; spill-rewritten functions get a
          fresh allocation over the rewritten body (whose single-
          instruction reload ranges fit the budget by construction — if
-         one still spills, it is simply left off the plan and the
-         threaded path interprets it) *)
+         one still spills, it is simply left off the plan and runs on
+         its virtual registers) *)
       let ra_by_name = Hashtbl.create 16 in
       List.iter
         (fun (f, ra) -> Hashtbl.replace ra_by_name f.f_name ra)

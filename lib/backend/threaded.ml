@@ -1,14 +1,15 @@
 (* Threaded-code lowering: bridge from the backend's register allocation
    to the engine's closure-array executor.
 
-   The engine's `--exec vm` path runs the *same* instruction stream the
-   resource model prices: each function whose allocation needed no spill
-   slots is renamed onto its allocated physical registers (an IR-level
-   rewrite inside the engine, see [Engine.make_fn_info]) and its decoded
-   instructions are compiled into a flat, preallocated closure array —
-   classic indirect-threaded code. Functions that spill keep the spill-
-   rewritten IR the interpreter already executes; the plan simply omits
-   them and the engine falls back to interpretation for those frames.
+   The engine runs the *same* instruction stream the resource model
+   prices: each function whose allocation needed no spill slots is
+   renamed onto its allocated physical registers (an IR-level rewrite
+   inside the engine, see [Engine.make_fn_info]), under either executor,
+   so its frames hold physical rows only; the `--exec vm` path then
+   compiles the decoded instructions into a flat, preallocated closure
+   array — classic indirect-threaded code. Functions that spill keep the
+   spill-rewritten IR on its virtual registers; the plan simply omits
+   them.
 
    This module computes the rename plans. It deliberately contains no
    execution machinery — the closures live next to the interpreter in
@@ -20,8 +21,8 @@ open Ozo_ir.Types
 
 (* Build the virtual→physical rename plan for [f] from its allocation.
    Returns [None] when the allocation spilled: a spilled register has no
-   physical home, and the engine interprets the spill-rewritten IR for
-   that function instead. *)
+   physical home, and the engine runs the spill-rewritten IR for that
+   function on its virtual registers instead. *)
 let plan_of_alloc (f : func) (ra : Regalloc.result) : Engine.reg_plan option =
   if ra.Regalloc.ra_spilled <> [] then None
   else begin

@@ -13,8 +13,8 @@ type t = {
   d_static_shared : int; (* bytes of static shared memory per team *)
   d_san : Sanitizer.t option; (* SIMT sanitizer, when created with ~sanitize *)
   d_exec : Engine.exec; (* executor: IR interpreter or threaded code *)
-  d_plan : (string * Engine.reg_plan) list; (* rename plans for Exec_vm *)
-  mutable d_last : Engine.result option;
+  d_plan : (string * Engine.reg_plan) list; (* register rename plans *)
+  d_malloc : int option; (* [Engine.malloc_scan] of [d_module] *)
 }
 
 type buffer = { buf_ptr : int; buf_bytes : int }
@@ -34,7 +34,7 @@ let create ?(params = Cost.default) ?(sanitize = false)
   mem.Memory.shared_size <- shared_size;
   { d_module = m; d_params = params; d_mem = mem; d_gaddr = gaddr;
     d_shared_globals = shared_globals; d_static_shared = shared_size; d_san = san;
-    d_exec = exec; d_plan = plan; d_last = None }
+    d_exec = exec; d_plan = plan; d_malloc = Engine.malloc_scan m }
 
 let sanitized t = t.d_san <> None
 
@@ -137,13 +137,12 @@ let launch ?(opts = Launch_opts.default) t ~teams ~threads args :
     Engine.run ~budget:opts.Launch_opts.budget ~params:t.d_params ?san:t.d_san
       ?inject:opts.Launch_opts.inject ~trace ~profile:opts.Launch_opts.profile
       ?watchdog:opts.Launch_opts.watchdog ~domains:opts.Launch_opts.domains
-      ~exec:t.d_exec ~plan:t.d_plan t.d_module ~mem:t.d_mem ~gaddr:t.d_gaddr
-      ~shared_globals:t.d_shared_globals l
+      ~exec:t.d_exec ~plan:t.d_plan ~malloc:t.d_malloc t.d_module ~mem:t.d_mem
+      ~gaddr:t.d_gaddr ~shared_globals:t.d_shared_globals l
   with
   | r ->
     Ozo_obs.Trace.end_span trace ();
     finish ();
-    t.d_last <- Some r;
     Ok r
   | exception Fault.Kernel_trap f ->
     Ozo_obs.Trace.end_span trace
@@ -158,18 +157,3 @@ let launch ?(opts = Launch_opts.default) t ~teams ~threads args :
     finish ();
     Error f
 
-let last_result t = t.d_last
-
-(* Kernel-time estimate for the last launch, given the register estimate
-   of the kernel (from IR liveness) and its shared-memory footprint. *)
-let kernel_time_cycles t ~threads ~regs_per_thread =
-  match t.d_last with
-  | None -> 0.0
-  | Some r ->
-    let occ =
-      Cost.occupancy t.d_params ~threads_per_team:threads ~regs_per_thread
-        ~shared_per_team:t.d_static_shared
-    in
-    Cost.kernel_time t.d_params ~occupancy:occ
-      ~team_cycles:(List.map (fun c -> c.Counters.cycles) r.Engine.r_counters)
-      ~mem_cycles:(Counters.memory_cycles t.d_params r.Engine.r_total)

@@ -65,11 +65,10 @@ type launch = {
 (* Which executor drives the per-strand inner loop. [Exec_ir] interprets
    the pre-decoded [dinst] stream through one big dispatch match.
    [Exec_vm] runs the threaded-code form: per-block arrays of
-   pre-specialized closures compiled from the same decoded stream, with
-   virtual registers renamed to the backend's dense physical indices.
-   Both paths share decoding, counters, faults, sanitizer hooks, watchdog
-   polling, scheduling and per-domain state; results are bit-identical
-   (the differential suite pins this). *)
+   pre-specialized closures compiled from the same decoded stream.
+   Both paths share decoding (register renaming included), counters,
+   faults, sanitizer hooks, watchdog polling, scheduling and per-domain
+   state; results are bit-identical (the differential suite pins this). *)
 type exec = Exec_ir | Exec_vm
 
 let exec_name = function Exec_ir -> "ir" | Exec_vm -> "vm"
@@ -77,11 +76,11 @@ let exec_of_name = function "ir" -> Some Exec_ir | "vm" -> Some Exec_vm | _ -> N
 
 (* Per-function register-rename plan derived from the backend's
    linear-scan allocation: [rp_map.(vreg)] is the physical index the
-   engine's flat register file uses under [Exec_vm], and [rp_nregs] sizes
-   the frame (typically far below [f_next_reg], so frames shrink).
+   engine's flat register file uses under either executor, and [rp_nregs]
+   sizes the frame (typically far below [f_next_reg], so frames shrink).
    Only spill-free functions carry a plan; a function the register budget
    forced to spill executes its (already spill-rewritten) stream with
-   virtual indices, exactly as under [Exec_ir]. *)
+   virtual indices and [f_next_reg]-row frames. *)
 type reg_plan = { rp_map : int array; rp_nregs : int }
 
 (* --- growable strand vector ------------------------------------------- *)
@@ -104,6 +103,8 @@ module Svec = struct
     end;
     t.arr.(t.len) <- x;
     t.len <- t.len + 1
+
+  let clear t = t.len <- 0
 
   let iter f t =
     for i = 0 to t.len - 1 do
@@ -250,10 +251,14 @@ type cblock = {
 and code = engine -> team_ctx -> strand -> slot -> [ `Continue | `Suspend ]
 
 and fn_info = {
-  fi_func : func; (* under [Exec_vm] with a plan: the *renamed* function *)
+  fi_func : func; (* with a plan: the *renamed* function *)
   fi_nregs : int; (* register-file height: plan's [rp_nregs] or [f_next_reg] *)
   fi_blocks : (label, cblock) Hashtbl.t;
   fi_reconv : (label, label option) Hashtbl.t; (* immediate post-dominator *)
+  (* kernel-entry frames released at the end of an earlier team of this
+     engine's launch, reused (zero-filled) by [entry_frame]; empty for
+     every other function, whose call frames are left to the GC *)
+  mutable fi_pool : frame list;
 }
 
 (* Per-frame registers live in two flat register-major arrays indexed
@@ -265,7 +270,7 @@ and frame = {
   fr_ints : int array;
   fr_floats : float array;
   fr_sp_save : int array; (* per-lane local stack pointer at entry *)
-  fr_id : int;
+  mutable fr_id : int; (* team-unique; re-stamped when a pooled frame is reused *)
 }
 
 and slot = {
@@ -315,9 +320,12 @@ and engine = {
   e_launch : launch;
   e_exec : exec; (* which inner-loop executor drives strands *)
   (* per-function register-rename plans (built once at [run], shared
-     read-only across domain engines); consulted only under [Exec_vm] *)
+     read-only across domain engines), applied under both executors *)
   e_plan : (string, reg_plan) Hashtbl.t;
   e_fn_infos : (string, fn_info) Hashtbl.t;
+  (* every kernel-entry frame handed out to the current team; returned
+     to the kernel's pool when the team ends *)
+  e_frames : frame Svec.t;
   e_gaddr : (string, int) Hashtbl.t;      (* global name -> encoded address *)
   e_ftable : func array;                  (* function pointer table *)
   e_fidx : (string, int) Hashtbl.t;       (* function name -> index+1 (0 = null) *)
@@ -474,17 +482,14 @@ let funk_of : unop -> funk = function
   | Fcos -> KFcos
   | Not | Sitofp | Fptosi | Zext32to64 | Trunc64to32 -> assert false
 
-(* Under [Exec_vm], the frame of a planned function is indexed by renamed
-   physical registers, so anything that binds values into such a frame
-   from the *original* IR (call-argument binding, kernel-argument
-   binding) must rename the target register the same way. *)
+(* The frame of a planned function is indexed by renamed physical
+   registers, so anything that binds values into such a frame from the
+   *original* IR (call-argument binding) must rename the target register
+   the same way. *)
 let plan_reg e fname r =
-  match e.e_exec with
-  | Exec_ir -> r
-  | Exec_vm -> (
-    match Hashtbl.find_opt e.e_plan fname with
-    | Some p -> p.rp_map.(r)
-    | None -> r)
+  match Hashtbl.find_opt e.e_plan fname with
+  | Some p -> p.rp_map.(r)
+  | None -> r
 
 (* Statically validate a direct call. A failure must surface exactly when
    (and only when) the call executes, with the message the dynamic lookup
@@ -617,11 +622,11 @@ let decode_phis e ~orig_regs b =
     (Hashtbl.copy edges);
   edges
 
-(* --- register renaming (Exec_vm) --------------------------------------- *)
+(* --- register renaming --------------------------------------------------- *)
 
 (* Rewrite every register of [f] through [map] (total over
-   [0, f_next_reg)). The renamed function is what gets decoded under
-   [Exec_vm], so every downstream consumer — operand evaluation, phi
+   [0, f_next_reg)). The renamed function is what gets decoded, under
+   either executor, so every downstream consumer — operand evaluation, phi
    staging, call-argument binding, return deposit — works on dense
    physical indices with no per-access indirection and no further
    changes. Renaming is sound against the engine's evaluation order
@@ -723,6 +728,12 @@ let rec last_active (mask : bool array) i =
    the always-correct per-lane path. *)
 let[@inline] fsame a b = a = b && (a <> 0.0 || 1.0 /. a = 1.0 /. b)
 
+(* write [v] into row [base] for every active lane *)
+let broadcast_i (regs : int array) (mask : bool array) base v =
+  for lane = 0 to Array.length mask - 1 do
+    if um mask lane then regs.(base + lane) <- v
+  done
+
 (* --- cost helpers ------------------------------------------------------ *)
 
 let charge tc n = tc.tc_counters.cycles <- tc.tc_counters.cycles + n
@@ -740,9 +751,9 @@ let rec seg_seen (segs : int array) nsegs seg i =
 let charge_mem_lanes e tc (mask : bool array) n =
   let p = e.e_params in
   let sa0 = tc.tc_counters.shared_accesses in
-  let rec go lane nsegs =
-    if lane < 0 then nsegs
-    else if um mask lane then begin
+  let nsegs = ref 0 in
+  for lane = n - 1 downto 0 do
+    if um mask lane then begin
       let a = e.e_addr.(lane) in
       let space = Memory.decode_space a in
       e.e_space.(lane) <- space;
@@ -750,21 +761,17 @@ let charge_mem_lanes e tc (mask : bool array) n =
       match space with
       | Global | Constant ->
         let seg = e.e_off.(lane) / p.segment_bytes in
-        if seg_seen e.e_segs nsegs seg 0 then go (lane - 1) nsegs
-        else begin
-          e.e_segs.(nsegs) <- seg;
-          go (lane - 1) (nsegs + 1)
+        if not (seg_seen e.e_segs !nsegs seg 0) then begin
+          e.e_segs.(!nsegs) <- seg;
+          incr nsegs
         end
       | Shared ->
-        tc.tc_counters.shared_accesses <- tc.tc_counters.shared_accesses + 1;
-        go (lane - 1) nsegs
+        tc.tc_counters.shared_accesses <- tc.tc_counters.shared_accesses + 1
       | Local ->
-        tc.tc_counters.local_accesses <- tc.tc_counters.local_accesses + 1;
-        go (lane - 1) nsegs
+        tc.tc_counters.local_accesses <- tc.tc_counters.local_accesses + 1
     end
-    else go (lane - 1) nsegs
-  in
-  let nsegs = go (n - 1) 0 in
+  done;
+  let nsegs = !nsegs in
   tc.tc_counters.global_transactions <- tc.tc_counters.global_transactions + nsegs;
   charge tc (nsegs * p.c_global_segment);
   let shared = tc.tc_counters.shared_accesses > sa0 in
@@ -791,16 +798,15 @@ let charge_mem_uniform e tc ~space ~active =
 let fill_addrs e fr (mask : bool array) n addr l0 =
   let a0 = ieval fr l0 addr in
   e.e_addr.(l0) <- a0;
-  let rec go lane uni =
-    if lane >= n then uni
-    else if um mask lane then begin
+  let uni = ref true in
+  for lane = l0 + 1 to n - 1 do
+    if um mask lane then begin
       let a = ieval fr lane addr in
       e.e_addr.(lane) <- a;
-      go (lane + 1) (uni && a = a0)
+      if a <> a0 then uni := false
     end
-    else go (lane + 1) uni
-  in
-  go (l0 + 1) true
+  done;
+  !uni
 
 (* --- threaded-code compilation (Exec_vm) -------------------------------- *)
 
@@ -1101,17 +1107,13 @@ let compile_insts irs (dis : dinst array) : code array =
 (* --- per-function decode ------------------------------------------------ *)
 
 let make_fn_info e f =
-  (* Under [Exec_vm], a backend register plan renames the function's
-     virtual registers to dense physical indices *before* decoding: the
-     decoded stream carries physical indices everywhere, the frame
-     shrinks to [rp_nregs] rows, and the threaded code below runs over
-     it. Fault messages keep the original register numbers (the
-     [~orig_regs]/[cb_first_phi] plumbing), byte-identical to [Exec_ir]. *)
-  let plan =
-    match e.e_exec with
-    | Exec_vm -> Hashtbl.find_opt e.e_plan f.f_name
-    | Exec_ir -> None
-  in
+  (* A backend register plan renames the function's virtual registers to
+     dense physical indices *before* decoding: the decoded stream carries
+     physical indices everywhere, the frame shrinks to [rp_nregs] rows,
+     and both executors run over it. Fault messages keep the original
+     register numbers (the [~orig_regs]/[cb_first_phi] plumbing), so they
+     read the same with or without a plan. *)
+  let plan = Hashtbl.find_opt e.e_plan f.f_name in
   let df = match plan with Some p -> remap_func p.rp_map f | None -> f in
   let nregs =
     match plan with Some p -> max p.rp_nregs 1 | None -> max f.f_next_reg 1
@@ -1145,12 +1147,13 @@ let make_fn_info e f =
     (fun b ->
       Hashtbl.replace reconv b.b_label (Dominance.reconvergence_point pdom b.b_label))
     df.f_blocks;
-  { fi_func = df; fi_nregs = nregs; fi_blocks = blocks; fi_reconv = reconv }
+  { fi_func = df; fi_nregs = nregs; fi_blocks = blocks; fi_reconv = reconv;
+    fi_pool = [] }
 
 let fn_info e name =
-  match Hashtbl.find_opt e.e_fn_infos name with
-  | Some fi -> fi
-  | None ->
+  match Hashtbl.find e.e_fn_infos name with
+  | fi -> fi
+  | exception Not_found ->
     let f = find_func_exn e.e_module name in
     let fi = make_fn_info e f in
     Hashtbl.replace e.e_fn_infos name fi;
@@ -1193,8 +1196,9 @@ and arrive_join tc st (j : join) =
       (new_strand tc ~warp:st.st_warp ~mask:(Array.copy j.j_mask)
          ~stack:(List.map copy_slot j.j_cont) ~joins:j.j_outer)
 
-let make_frame tc e fname ~warp_size =
-  let fi = fn_info e fname in
+(* A fresh zero-filled frame; call frames are made this way and die with
+   the call, as the GC sees them. *)
+let fresh_frame tc fi ~warp_size =
   let n = fi.fi_nregs in
   let fr =
     { fr_info = fi; fr_ws = warp_size;
@@ -1206,6 +1210,33 @@ let make_frame tc e fname ~warp_size =
   tc.tc_next_frame <- tc.tc_next_frame + 1;
   fr
 
+(* A kernel-entry frame (one per warp of a team): from the kernel's pool
+   when one is free, zero-filled so it reads exactly like a fresh one.
+   Each one handed out is recorded in [e_frames] for [release_frames], so
+   the pool never holds more than one team's warps. *)
+let entry_frame tc e fname ~warp_size =
+  let fi = fn_info e fname in
+  let fr =
+    match fi.fi_pool with
+    | fr :: rest when fr.fr_ws = warp_size ->
+      fi.fi_pool <- rest;
+      Array.fill fr.fr_ints 0 (Array.length fr.fr_ints) 0;
+      Array.fill fr.fr_floats 0 (Array.length fr.fr_floats) 0.0;
+      Array.fill fr.fr_sp_save 0 warp_size 0;
+      fr.fr_id <- tc.tc_next_frame;
+      tc.tc_next_frame <- tc.tc_next_frame + 1;
+      fr
+    | _ -> fresh_frame tc fi ~warp_size
+  in
+  Svec.push e.e_frames fr;
+  fr
+
+(* End of a team: no strand, slot or join of it survives, so every entry
+   frame it was handed goes back to the kernel's pool. *)
+let release_frames e =
+  Svec.iter (fun fr -> fr.fr_info.fi_pool <- fr :: fr.fr_info.fi_pool) e.e_frames;
+  Svec.clear e.e_frames
+
 (* global thread id of a lane in this warp within the team *)
 let lane_tid tc st lane = (st.st_warp * tc.tc_warp_size) + lane
 
@@ -1215,14 +1246,14 @@ let lane_tid tc st lane = (st.st_warp * tc.tc_warp_size) + lane
    operands only read registers, so per-lane staging is equivalent to the
    per-phi staging it replaces, without the per-edge array allocations). *)
 let eval_phis (fr : frame) ~mask ~from_blk ~to_blk =
-  match Hashtbl.find_opt fr.fr_info.fi_blocks to_blk with
-  | None -> fault "edge to unknown block %s" to_blk
-  | Some cb ->
+  match Hashtbl.find fr.fr_info.fi_blocks to_blk with
+  | exception Not_found -> fault "edge to unknown block %s" to_blk
+  | cb ->
     if cb.cb_nphis > 0 then begin
       let copy =
-        match Hashtbl.find_opt cb.cb_edges from_blk with
-        | Some c -> c
-        | None ->
+        match Hashtbl.find cb.cb_edges from_blk with
+        | c -> c
+        | exception Not_found ->
           fault "phi %%%d in %s lacks incoming for %s" cb.cb_first_phi to_blk from_blk
       in
       let np = Array.length copy in
@@ -1527,12 +1558,36 @@ let rec exec_dinst e tc (st : strand) (slot : slot) (di : dinst) :
   | D_un_f (r, special, cost, k, a) ->
     charge tc cost;
     let base = r * ws in
-    let broadcast v =
+    (* uniform-strand scalarization of SFU ops: one evaluation instead of
+       [active] when the operand is bit-identical across active lanes *)
+    let uniform =
+      special && st.st_active > 0
+      &&
+      match a with
+      | FConst _ -> true
+      | FReg reg ->
+        let sbase = reg * ws in
+        let l0 = first_active mask n 0 in
+        let v0 = fr.fr_floats.(sbase + l0) in
+        let uni = ref true in
+        for lane = l0 + 1 to n - 1 do
+          if um mask lane && not (fsame fr.fr_floats.(sbase + lane) v0) then uni := false
+        done;
+        !uni
+      | FBad msg -> fault "%s" msg
+    in
+    if uniform then begin
+      let v =
+        match a with
+        | FReg reg -> fun_apply k fr.fr_floats.((reg * ws) + first_active mask n 0)
+        | FConst v -> fun_apply k v
+        | FBad _ -> assert false
+      in
       for lane = 0 to n - 1 do
         if um mask lane then fr.fr_floats.(base + lane) <- v
       done
-    in
-    let per_lane () =
+    end
+    else
       for lane = 0 to n - 1 do
         if um mask lane then begin
           let x =
@@ -1551,26 +1606,7 @@ let rec exec_dinst e tc (st : strand) (slot : slot) (di : dinst) :
             | KFsin -> sin x
             | KFcos -> cos x)
         end
-      done
-    in
-    (* uniform-strand scalarization of SFU ops: one evaluation instead of
-       [active] when the operand is bit-identical across active lanes *)
-    if special && st.st_active > 0 then begin
-      match a with
-      | FConst v -> broadcast (fun_apply k v)
-      | FReg reg ->
-        let sbase = reg * ws in
-        let l0 = first_active mask n 0 in
-        let v0 = fr.fr_floats.(sbase + l0) in
-        let rec uni lane =
-          lane >= n
-          || ((not (um mask lane)) || fsame fr.fr_floats.(sbase + lane) v0)
-             && uni (lane + 1)
-        in
-        if uni (l0 + 1) then broadcast (fun_apply k v0) else per_lane ()
-      | FBad msg -> fault "%s" msg
-    end
-    else per_lane ();
+      done;
     `Continue
   | D_i2f (r, a) ->
     charge tc p.c_alu;
@@ -1808,11 +1844,6 @@ let rec exec_dinst e tc (st : strand) (slot : slot) (di : dinst) :
   | D_intr (r, i) ->
     charge tc p.c_alu;
     let base = r * ws in
-    let broadcast v =
-      for lane = 0 to n - 1 do
-        if um mask lane then fr.fr_ints.(base + lane) <- v
-      done
-    in
     (match i with
     | Thread_id ->
       for lane = 0 to n - 1 do
@@ -1824,10 +1855,10 @@ let rec exec_dinst e tc (st : strand) (slot : slot) (di : dinst) :
           fr.fr_ints.(base + lane) <- lane_tid tc st lane mod p.warp_size
       done
     (* launch-geometry intrinsics are lane-invariant: broadcast *)
-    | Block_id -> broadcast tc.tc_team
-    | Block_dim -> broadcast tc.tc_threads
-    | Grid_dim -> broadcast e.e_launch.l_teams
-    | Warp_size -> broadcast p.warp_size);
+    | Block_id -> broadcast_i fr.fr_ints mask base tc.tc_team
+    | Block_dim -> broadcast_i fr.fr_ints mask base tc.tc_threads
+    | Grid_dim -> broadcast_i fr.fr_ints mask base e.e_launch.l_teams
+    | Warp_size -> broadcast_i fr.fr_ints mask base p.warp_size);
     `Continue
   | D_malloc (r, size) ->
     charge tc p.c_malloc;
@@ -1883,16 +1914,15 @@ let rec exec_dinst e tc (st : strand) (slot : slot) (di : dinst) :
     end;
     `Continue
   | D_atomic_i (dst, op, ty, addr, ops) ->
-    let rec scan lane any =
-      if lane >= n then any
-      else if um mask lane then begin
+    let global = ref false in
+    for lane = 0 to n - 1 do
+      if um mask lane then begin
         let a = ieval fr lane addr in
         e.e_addr.(lane) <- a;
-        scan (lane + 1) (any || Memory.decode_space a = Global)
+        if not !global && Memory.decode_space a = Global then global := true
       end
-      else scan (lane + 1) any
-    in
-    let global = scan 0 false in
+    done;
+    let global = !global in
     charge tc (if global then p.c_atomic_global else p.c_atomic_shared);
     tc.tc_counters.atomics <- tc.tc_counters.atomics + 1;
     (* the RMW below is a plain load/store pair; tell the sanitizer these
@@ -1922,16 +1952,15 @@ let rec exec_dinst e tc (st : strand) (slot : slot) (di : dinst) :
     (match e.e_san with Some s -> Sanitizer.set_atomic s false | None -> ());
     `Continue
   | D_atomic_f (dst, op, addr, ops) ->
-    let rec scan lane any =
-      if lane >= n then any
-      else if um mask lane then begin
+    let global = ref false in
+    for lane = 0 to n - 1 do
+      if um mask lane then begin
         let a = ieval fr lane addr in
         e.e_addr.(lane) <- a;
-        scan (lane + 1) (any || Memory.decode_space a = Global)
+        if not !global && Memory.decode_space a = Global then global := true
       end
-      else scan (lane + 1) any
-    in
-    let global = scan 0 false in
+    done;
+    let global = !global in
     charge tc (if global then p.c_atomic_global else p.c_atomic_shared);
     tc.tc_counters.atomics <- tc.tc_counters.atomics + 1;
     (match e.e_san with Some s -> Sanitizer.set_atomic s true | None -> ());
@@ -2013,24 +2042,24 @@ and do_call_fast e tc st slot dc =
     let n = Array.length mask in
     (* advance the caller past the call before pushing *)
     slot.sl_idx <- slot.sl_idx + 1;
-    let frame = make_frame tc e dc_callee ~warp_size:n in
+    let frame = fresh_frame tc (fn_info e dc_callee) ~warp_size:n in
     for lane = 0 to n - 1 do
       if um mask lane then
         frame.fr_sp_save.(lane) <- Memory.local_sp e.e_mem ~thread:(lane_tid tc st lane)
     done;
-    Array.iter
-      (function
-        | DA_i (preg, op) ->
-          let base = preg * frame.fr_ws in
-          for lane = 0 to n - 1 do
-            if um mask lane then frame.fr_ints.(base + lane) <- ieval fr lane op
-          done
-        | DA_f (preg, op) ->
-          let base = preg * frame.fr_ws in
-          for lane = 0 to n - 1 do
-            if um mask lane then frame.fr_floats.(base + lane) <- feval fr lane op
-          done)
-      dc_args;
+    for i = 0 to Array.length dc_args - 1 do
+      match dc_args.(i) with
+      | DA_i (preg, op) ->
+        let base = preg * frame.fr_ws in
+        for lane = 0 to n - 1 do
+          if um mask lane then frame.fr_ints.(base + lane) <- ieval fr lane op
+        done
+      | DA_f (preg, op) ->
+        let base = preg * frame.fr_ws in
+        for lane = 0 to n - 1 do
+          if um mask lane then frame.fr_floats.(base + lane) <- feval fr lane op
+        done
+    done;
     st.st_stack <-
       { sl_frame = frame; sl_blk = dc_entry; sl_idx = 0; sl_ret_dst = dc_ret }
       :: st.st_stack;
@@ -2052,7 +2081,7 @@ and do_call_dyn e tc st slot ~dst ~callee ~args =
       (List.length cf.f_params);
   (* advance the caller past the call before pushing *)
   slot.sl_idx <- slot.sl_idx + 1;
-  let frame = make_frame tc e callee ~warp_size:n in
+  let frame = fresh_frame tc fi ~warp_size:n in
   for lane = 0 to n - 1 do
     if um mask lane then
       frame.fr_sp_save.(lane) <- Memory.local_sp e.e_mem ~thread:(lane_tid tc st lane)
@@ -2106,16 +2135,15 @@ let exec_dterm e tc st slot (dt : dterm) =
   | T_cond (c, lt, lf) -> (
     (* stage per-lane conditions in scratch; allocate the split masks only
        on actual divergence *)
-    let rec scan lane acc =
-      if lane >= n then acc
-      else if um mask lane then begin
+    let seen = ref 0 in
+    for lane = 0 to n - 1 do
+      if um mask lane then begin
         let t = ieval fr lane c <> 0 in
         Array.unsafe_set e.e_cond lane t;
-        scan (lane + 1) (acc lor if t then 1 else 2)
+        seen := !seen lor if t then 1 else 2
       end
-      else scan (lane + 1) acc
-    in
-    match scan 0 0 with
+    done;
+    match !seen with
     | 1 -> transfer tc st slot ~to_blk:lt
     | 2 -> transfer tc st slot ~to_blk:lf
     | _ ->
@@ -2194,9 +2222,9 @@ let run_strand e tc st =
       continue_ := false
     | slot :: _ ->
       let b =
-        match Hashtbl.find_opt slot.sl_frame.fr_info.fi_blocks slot.sl_blk with
-        | Some b -> b
-        | None -> fault "missing block %s" slot.sl_blk
+        match Hashtbl.find slot.sl_frame.fr_info.fi_blocks slot.sl_blk with
+        | b -> b
+        | exception Not_found -> fault "missing block %s" slot.sl_blk
       in
       let ninsts = Array.length b.cb_insts in
       (* hot-spot accounting sits at block granularity, outside the
@@ -2415,7 +2443,7 @@ let run_team e ~team =
   for w = 0 to nwarps - 1 do
     let lanes = min p.warp_size (threads - (w * p.warp_size)) in
     let mask = Array.init p.warp_size (fun l -> l < lanes) in
-    let frame = make_frame tc e kernel.f_name ~warp_size:p.warp_size in
+    let frame = entry_frame tc e kernel.f_name ~warp_size:p.warp_size in
     (* kernel arguments are uniform across all threads *)
     List.iteri
       (fun i ((preg, pty), arg) ->
@@ -2428,7 +2456,7 @@ let run_team e ~team =
           | Ai v, true -> frame.fr_floats.(base + lane) <- float_of_int v
           | Af _, false -> fault "float argument for integer kernel parameter"
         done)
-      (* bind against the frame's function: under [Exec_vm] its params
+      (* bind against the frame's function: with a plan its params
          carry the renamed register indices the frame is laid out by *)
       (try List.combine frame.fr_info.fi_func.f_params e.e_launch.l_args
        with Invalid_argument _ ->
@@ -2504,6 +2532,7 @@ let run_team e ~team =
         end
       end
   done;
+  release_frames e;
   tc.tc_counters
 
 (* Per-block hot-spot row from the opt-in profile: where warp
@@ -2605,9 +2634,19 @@ let collect_hotspots (engines : engine list) : hotspot list =
    allocation profile. A kernel that outgrows its window faults with a
    structured Oob naming the limit. Rounded to a multiple of 128 so
    every team window keeps the 128-byte transaction phase of the
-   aligned arena base. Returns None for malloc-free modules (no arena
-   is reserved at all). *)
-let malloc_arena_cap (m : modul) ~teams : int option =
+   aligned arena base. [malloc] is [malloc_scan] of the module: None for
+   malloc-free modules (no arena is reserved at all). *)
+let malloc_arena_cap ~malloc ~teams : int option =
+  match malloc with
+  | None -> None
+  | Some const_bytes ->
+    let cap = max 1024 (max (2 * const_bytes) ((1 lsl 21) / max 1 teams)) in
+    Some ((cap + 127) land lnot 127)
+
+(* The module half of [malloc_arena_cap]: None when no function contains
+   a [Malloc], else the 8-byte-rounded sum of its constant sizes. A
+   device computes it once for the module it loads. *)
+let malloc_scan (m : modul) : int option =
   let found = ref false and const_bytes = ref 0 in
   List.iter
     (fun f ->
@@ -2625,17 +2664,14 @@ let malloc_arena_cap (m : modul) ~teams : int option =
             b.b_insts)
         f.f_blocks)
     m.m_funcs;
-  if not !found then None
-  else
-    let cap = max 1024 (max (2 * !const_bytes) ((1 lsl 21) / max 1 teams)) in
-    Some ((cap + 127) land lnot 127)
+  if !found then Some !const_bytes else None
 
 let make_engine ~params ~mem ~san ~spec ~trace ~profile ~watchdog ~budget ~arena
     ~abort ~exec ~plan m launch gaddr ftable fidx shared_globals =
   let ws = params.Cost.warp_size in
   { e_module = m; e_params = params; e_mem = mem; e_launch = launch;
     e_exec = exec; e_plan = plan;
-    e_fn_infos = Hashtbl.create 16; e_gaddr = gaddr; e_ftable = ftable;
+    e_fn_infos = Hashtbl.create 16; e_frames = Svec.create (); e_gaddr = gaddr; e_ftable = ftable;
     e_fidx = fidx; e_shared_globals = shared_globals; e_san = san;
     e_spec = spec; e_inject = None; e_fastmem = not (Memory.has_watcher mem);
     e_trace = trace; e_prof = profile;
@@ -2655,7 +2691,7 @@ let annotated e = function
 
 let run ?(params = Cost.default) ?(budget = 400_000_000) ?san ?inject
     ?(trace = Ozo_obs.Trace.null) ?(profile = false) ?watchdog ?(domains = 1)
-    ?(exec = Exec_ir) ?(plan = [])
+    ?(exec = Exec_ir) ?(plan = []) ~malloc
     (m : modul) ~(mem : Memory.t)
     ~(gaddr : (string, int) Hashtbl.t) ~(shared_globals : (global * int) list)
     (launch : launch) : result =
@@ -2668,17 +2704,21 @@ let run ?(params = Cost.default) ?(budget = 400_000_000) ?san ?inject
     Hashtbl.create (max 8 (List.length plan))
   in
   List.iter (fun (fname, rp) -> Hashtbl.replace plan_tbl fname rp) plan;
+  let ndom = max 1 (min domains launch.l_teams) in
   (* Kernel mallocs bump inside a per-team arena reserved up front (at
      every domain count, including 1, so allocation addresses agree).
-     Reserving claims the range and pre-grows the global buffer: the
-     backing Bytes.t is never replaced while domains execute. *)
+     Reserving claims the range; only a multi-domain launch also
+     pre-grows the global buffer, so its backing Bytes.t is never
+     replaced while domains execute. A single domain grows it on touch. *)
   let arena =
-    match malloc_arena_cap m ~teams:launch.l_teams with
+    match malloc_arena_cap ~malloc ~teams:launch.l_teams with
     | Some cap ->
-      Some (Memory.reserve_arena mem ~teams:(max 1 launch.l_teams) ~cap, cap)
+      Some
+        ( Memory.reserve_arena mem ~pregrow:(ndom > 1)
+            ~teams:(max 1 launch.l_teams) ~cap,
+          cap )
     | None -> None
   in
-  let ndom = max 1 (min domains launch.l_teams) in
   let abort = if ndom > 1 then Some (Atomic.make max_int) else None in
   let mk ~mem ~san ~trace =
     make_engine ~params ~mem ~san ~spec:inject ~trace ~profile ~watchdog ~budget

@@ -12,6 +12,14 @@
    well-defined), while shared/local memory — per-team by definition —
    is private to the fork.
 
+   Memory is paid for only where it is touched. Buffers grow on access
+   ([ensure]) and every byte past the grown end reads as zero, so a
+   reserved-but-untouched range costs nothing: [reserve_arena] claims
+   the kernel-malloc arena's addresses without growing the global buffer
+   (unless several domains will share it), and a thread's stack grows to
+   its high-water mark rather than to [local_stack_bytes]. Addresses,
+   bounds checks and fault text are those of fully materialized memory.
+
    All accesses funnel through [read_bytes]/[write_bytes]; an optional
    [watcher] observes allocations, initializations and accesses so the
    SIMT sanitizer can maintain shadow state without this module knowing
@@ -92,10 +100,13 @@ let create_buf initial = { data = Bytes.make initial '\000'; used = 0 }
    terabytes. Well above every proxy's working set. *)
 let max_buf_bytes = 1 lsl 28
 
-let ensure buf size =
+let check_limit size =
   if size > max_buf_bytes then
     Fault.fail Fault.Oob "access at 0x%x exceeds the device memory limit (0x%x bytes)"
-      size max_buf_bytes;
+      size max_buf_bytes
+
+let ensure buf size =
+  check_limit size;
   if size > Bytes.length buf.data then begin
     let cap = min max_buf_bytes (max size (2 * Bytes.length buf.data)) in
     let data = Bytes.make cap '\000' in
@@ -137,11 +148,16 @@ type t = {
 
 let local_stack_bytes = 16 * 1024
 
-(* Thread-local stacks materialize on first touch: a device sized for
-   2048 resident threads would otherwise pay 32MB of zeroed buffers at
-   creation even though a typical launch touches at most a block's worth.
-   An untouched stack reads as zeros either way, so laziness is
-   unobservable. *)
+(* Thread-local stacks materialize on first touch and then grow to their
+   high-water mark (doubling, from [local_stack_min] up to
+   [local_stack_bytes]): a device sized for 2048 resident threads would
+   otherwise pay 32MB of zeroed buffers at creation, and a touched thread
+   16KB, even though a typical launch touches at most a block's worth of
+   threads and a few hundred bytes of each stack. Bytes past the
+   high-water mark read as zeros either way, so laziness is unobservable;
+   bounds are always checked against the full [local_stack_bytes]. *)
+let local_stack_min = 256
+
 let create ~threads_per_team =
   { global = create_buf (1 lsl 16);
     constant = create_buf (1 lsl 12);
@@ -151,11 +167,17 @@ let create ~threads_per_team =
     local_sp = Array.make threads_per_team 0;
     watch = None }
 
-let local_buf t thread =
+(* The stack of [thread], grown to hold at least [need] bytes. Callers
+   have bounds-checked [need <= local_stack_bytes]. *)
+let local_buf t thread need =
   let b = t.locals.(thread) in
-  if Bytes.length b <> 0 then b
+  let len = Bytes.length b in
+  if need <= len then b
   else begin
-    let nb = Bytes.make local_stack_bytes '\000' in
+    let nb =
+      Bytes.make (min local_stack_bytes (max need (max local_stack_min (2 * len)))) '\000'
+    in
+    Bytes.blit b 0 nb 0 len;
     t.locals.(thread) <- nb;
     nb
   end
@@ -200,7 +222,7 @@ let read_bytes t ~thread ptr n =
   match space with
   | Local ->
     check_local_bounds ptr off n;
-    Bytes.sub (local_buf t thread) off n
+    Bytes.sub (local_buf t thread (off + n)) off n
   | _ ->
     let b = buf_of t space in
     ensure b (off + n);
@@ -215,7 +237,7 @@ let write_bytes t ~thread ptr src =
   match space with
   | Local ->
     check_local_bounds ptr off n;
-    Bytes.blit src 0 (local_buf t thread) off n
+    Bytes.blit src 0 (local_buf t thread (off + n)) off n
   | Constant ->
     Fault.fail Fault.Invalid
       ~access:(oob_access ptr Constant off n)
@@ -284,17 +306,16 @@ let check_host () =
 let fast_load_int t ~thread ~space ~off ~ptr typ =
   match space with
   | Local -> (
-    let data = local_buf t thread in
     match typ with
     | I1 ->
       check_local_bounds ptr off 1;
-      Char.code (Bytes.get data off) land 1
+      Char.code (Bytes.get (local_buf t thread (off + 1)) off) land 1
     | I32 ->
       check_local_bounds ptr off 4;
-      Int32.to_int (get32 data off)
+      Int32.to_int (get32 (local_buf t thread (off + 4)) off)
     | I64 | Ptr _ ->
       check_local_bounds ptr off 8;
-      Int64.to_int (get64 data off)
+      Int64.to_int (get64 (local_buf t thread (off + 8)) off)
     | F64 -> Fault.fail Fault.Invalid "integer load of f64")
   | _ -> (
     let b = buf_of t space in
@@ -318,7 +339,7 @@ let fast_load_float_at t ~thread ~space ~off ~ptr (dst : float array) i =
   match space with
   | Local ->
     check_local_bounds ptr off 8;
-    dst.(i) <- Int64.float_of_bits (get64 (local_buf t thread) off)
+    dst.(i) <- Int64.float_of_bits (get64 (local_buf t thread (off + 8)) off)
   | _ ->
     let b = buf_of t space in
     ensure b (off + 8);
@@ -327,17 +348,16 @@ let fast_load_float_at t ~thread ~space ~off ~ptr (dst : float array) i =
 let fast_store_int t ~thread ~space ~off ~ptr typ v =
   match space with
   | Local -> (
-    let data = local_buf t thread in
     match typ with
     | I1 ->
       check_local_bounds ptr off 1;
-      Bytes.set data off (Char.chr (v land 1))
+      Bytes.set (local_buf t thread (off + 1)) off (Char.chr (v land 1))
     | I32 ->
       check_local_bounds ptr off 4;
-      set32 data off (Int32.of_int v)
+      set32 (local_buf t thread (off + 4)) off (Int32.of_int v)
     | I64 | Ptr _ ->
       check_local_bounds ptr off 8;
-      set64 data off (Int64.of_int v)
+      set64 (local_buf t thread (off + 8)) off (Int64.of_int v)
     | F64 -> Fault.fail Fault.Invalid "integer store of f64")
   | Constant ->
     let n = match typ with I1 -> 1 | I32 -> 4 | _ -> 8 in
@@ -362,7 +382,7 @@ let fast_store_float_from t ~thread ~space ~off ~ptr (src : float array) i =
   match space with
   | Local ->
     check_local_bounds ptr off 8;
-    set64 (local_buf t thread) off (Int64.bits_of_float src.(i))
+    set64 (local_buf t thread (off + 8)) off (Int64.bits_of_float src.(i))
   | Constant ->
     Fault.fail Fault.Invalid
       ~access:(oob_access ptr Constant off 8)
@@ -436,13 +456,16 @@ let alloc_global t size = alloc_in t Global t.global size
    allocations: [teams * cap] bytes, base aligned to a 128-byte segment
    boundary so every team window starts at the same phase of the
    coalescing segmentation regardless of prior host allocations. The
-   region is claimed ([used] advances) and pre-grown, so no [ensure]
-   growth can happen concurrently during team execution for in-bounds
-   programs. Returns the base offset. *)
-let reserve_arena t ~teams ~cap =
+   region is claimed ([used] advances) and checked against the device
+   memory limit. With [~pregrow] (a multi-domain launch) the buffer is
+   also grown over it, so no [ensure] growth can happen concurrently
+   during team execution for in-bounds programs; otherwise the bytes are
+   paid for only when a kernel touches them. Returns the base offset. *)
+let reserve_arena t ~pregrow ~teams ~cap =
   let base = (t.global.used + 127) land lnot 127 in
-  ensure t.global (base + (teams * cap));
-  t.global.used <- base + (teams * cap);
+  let top = base + (teams * cap) in
+  if pregrow then ensure t.global top else check_limit top;
+  t.global.used <- top;
   base
 
 (* Announce a kernel-side allocation carved out of the arena: fires the
@@ -457,8 +480,8 @@ let mark_alloc t space ~offset ~size =
 
 (* Per-domain view for the parallel engine: global/constant buffers are
    the parent's (physically shared — teams touch disjoint allocations by
-   construction, and [reserve_arena] pre-grows the global buffer so the
-   backing [Bytes.t] is not replaced mid-run); shared and local memory
+   construction, and [reserve_arena ~pregrow:true] grows the global buffer
+   so the backing [Bytes.t] is not replaced mid-run); shared and local memory
    are fresh per-fork instances since they are per-team state. The fork
    starts with no watcher — a sanitizing launch installs each domain's
    own forked sanitizer. *)

@@ -60,7 +60,24 @@ let test_local_stack () =
   let sp = Memory.local_sp m ~thread:0 in
   let _ = Memory.alloca m ~thread:0 32 in
   Memory.set_local_sp m ~thread:0 sp;
-  Alcotest.(check int) "sp restored" sp (Memory.local_sp m ~thread:0)
+  Alcotest.(check int) "sp restored" sp (Memory.local_sp m ~thread:0);
+  (* stacks grow to their high-water mark: growth keeps what was written,
+     untouched bytes read as zero, and bounds stay at the full stack *)
+  let top = Memory.local_stack_bytes - 8 in
+  let far = Memory.encode Local top in
+  Memory.fast_store_int m ~thread:1 ~space:Local ~off:top ~ptr:far I64 7;
+  Alcotest.(check int) "thread 1 kept across growth" 2 (Memory.load_int m ~thread:1 a1 I64);
+  Alcotest.(check int) "far local write" 7 (Memory.load_int m ~thread:1 far I64);
+  Alcotest.(check int) "untouched reads zero" 0
+    (Memory.fast_load_int m ~thread:1 ~space:Local ~off:(top - 8)
+       ~ptr:(Memory.encode Local (top - 8)) I64);
+  match Memory.load_int m ~thread:0 (Memory.encode Local (top + 4)) I64 with
+  | exception Ozo_vgpu.Fault.Kernel_fault f ->
+    Alcotest.(check string) "bound is the full stack"
+      (Printf.sprintf "local access at 0x%x (8B) beyond the %dB thread stack" (top + 4)
+         Memory.local_stack_bytes)
+      f.Ozo_vgpu.Fault.f_msg
+  | _ -> Alcotest.fail "access past the stack must fault"
 
 let test_store_to_constant_rejected () =
   let m = Memory.create ~threads_per_team:1 in

@@ -537,6 +537,144 @@ let test_coalescing_counter () =
     (Printf.sprintf "coalesced %d < strided %d" coalesced strided)
     true (coalesced < strided)
 
+(* The issue loop allocates nothing per warp issue: a small ALU loop over
+   a thread-local accumulator (local load/store, int and float ALU, a
+   loop-carried phi and a conditional back edge), launched at two trip
+   counts. Everything a launch pays once (device, decode, frames, stacks)
+   cancels in the difference, so the extra bytes per extra issue are the
+   hot path's own allocation. *)
+let test_alloc_per_issue () =
+  let alu_loop iters =
+    kernel_module ~params:[ I64 ] (fun b ps ->
+        match ps with
+        | [ out ] ->
+          let tid = B.thread_id b in
+          let acc = B.alloca b 8 and facc = B.alloca b 8 in
+          B.store b I64 (B.i64 1) acc;
+          B.store b F64 (B.f64 1.5) facc;
+          ignore
+            (B.for_loop b ~lo:(B.i64 0) ~hi:(B.i64 iters) ~step:(B.i64 1)
+               ~body:(fun iv ->
+                 let v = B.load b I64 acc in
+                 let v = B.add b (B.mul b v (B.i64 3)) (B.xor b iv tid) in
+                 B.store b I64 (B.and_ b v (B.i64 0xFFFFFF)) acc;
+                 let f = B.load b F64 facc in
+                 B.store b F64 (B.fadd b (B.fmul b f (B.f64 1.000001)) (B.f64 0.5)) facc));
+          B.store b I64 (B.load b I64 acc) (B.ptradd b out (B.mul b tid (B.i64 8)))
+        | _ -> assert false)
+  in
+  List.iter
+    (fun exec ->
+      let launch iters =
+        let dev = Device.create ~exec (alu_loop iters) in
+        let _, arg = out_arg dev 64 in
+        let a0 = Gc.allocated_bytes () in
+        match Device.launch dev ~teams:1 ~threads:64 [ arg ] with
+        | Ok r ->
+          (Gc.allocated_bytes () -. a0, r.Engine.r_total.Ozo_vgpu.Counters.warp_instructions)
+        | Error e -> Alcotest.failf "%a" Device.pp_error e
+      in
+      ignore (launch 10);
+      let b1, i1 = launch 100 and b2, i2 = launch 1100 in
+      let per_issue = (b2 -. b1) /. float_of_int (i2 - i1) in
+      (* the issue loop allocates 0 B; one per-issue closure or [Some]
+         cell anywhere on it shows as several *)
+      if per_issue > 1.0 then
+        Alcotest.failf "%s: %.2f bytes allocated per extra warp issue (limit 1)"
+          (Engine.exec_name exec) per_issue)
+    [ Engine.Exec_ir; Engine.Exec_vm ]
+
+(* Frames are pooled per engine and reused by later teams: a reused frame
+   must read exactly like a fresh, zeroed one. Team 0 defines %3; team 1
+   reads %3 on a path that never defines it, so it must see 0, not the
+   41 team 0 left in the pooled frame. *)
+let test_pooled_frames_read_fresh () =
+  let m =
+    Ozo_ir.Parser.parse_module
+      {|module pooled
+
+kernel func k(%0: i64)
+entry:
+  %1 = block.id
+  %2 = icmp eq %1, 0:i64
+  br %2, first, second
+first:
+  %3 = add %1, 41:i64
+  br done
+second:
+  %4 = thread.id
+  %5 = mul %4, 8:i64
+  %6 = ptradd %0, %5
+  store i64 %3, %6
+  br done
+done:
+  ret
+|}
+  in
+  let dev = Device.create m in
+  let buf, arg = out_arg dev 64 in
+  Device.write_i64s dev buf (List.init 64 (fun _ -> -1));
+  (match Device.launch dev ~teams:2 ~threads:64 [ arg ] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%a" Device.pp_error e);
+  Array.iteri
+    (fun i v -> if v <> 0 then Alcotest.failf "thread %d read %d from a reused frame" i v)
+    (i64_array dev buf 64)
+
+(* A call frame lives as long as its call, as it did before frames were
+   pooled: only the per-warp kernel-entry frames are kept for later teams.
+   A kernel calling a helper in a loop is launched at two trip counts; the
+   major heap at its largest during the launch (sampled at the end of
+   every major cycle and once after) must not grow with the number of
+   calls. Keeping every call frame until the team ends adds about 3.5 KB
+   per call, 14 MB between the two launches; releasing them measures
+   under 10 KB. *)
+let test_call_frames_not_retained () =
+  let call_loop iters =
+    let b = B.create "m" in
+    (match B.begin_func b ~name:"h" ~params:[ I64 ] ~ret:(Some I64) () with
+    | [ x ] ->
+      B.set_block b "entry";
+      let y = B.add b (B.mul b x (B.i64 3)) (B.mul b x x) in
+      B.ret b (Some (B.and_ b (B.xor b y (B.i64 7)) (B.i64 0xFFFF)))
+    | _ -> assert false);
+    ignore (B.end_func b);
+    let ps = B.begin_func b ~name:"k" ~kernel:true ~params:[ I64 ] ~ret:None () in
+    B.set_block b "entry";
+    (match ps with
+    | [ out ] ->
+      let tid = B.thread_id b in
+      let acc = B.alloca b 8 in
+      B.store b I64 tid acc;
+      ignore
+        (B.for_loop b ~lo:(B.i64 0) ~hi:(B.i64 iters) ~step:(B.i64 1) ~body:(fun iv ->
+             let v = B.call_val b "h" [ B.add b iv (B.load b I64 acc) ] in
+             B.store b I64 v acc));
+      B.store b I64 (B.load b I64 acc) (B.ptradd b out (B.mul b tid (B.i64 8)));
+      B.ret b None
+    | _ -> assert false);
+    ignore (B.end_func b);
+    B.finish b
+  in
+  let peak_growth iters =
+    let dev = Device.create (call_loop iters) in
+    let _, arg = out_arg dev 32 in
+    Gc.compact ();
+    let base = (Gc.quick_stat ()).Gc.heap_words in
+    let peak = ref base in
+    let sample () = peak := max !peak (Gc.quick_stat ()).Gc.heap_words in
+    let alarm = Gc.create_alarm sample in
+    (match Device.launch dev ~teams:1 ~threads:32 [ arg ] with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%a" Device.pp_error e);
+    sample ();
+    Gc.delete_alarm alarm;
+    (!peak - base) * (Sys.word_size / 8)
+  in
+  let small = peak_growth 250 and large = peak_growth 4250 in
+  if large - small > 4_000_000 then
+    Alcotest.failf "peak heap grew by %d B over 4000 extra calls (limit 4 MB)" (large - small)
+
 let suite =
   [ tc "thread ids" test_thread_ids;
     tc "block intrinsics" test_intrinsics;
@@ -559,4 +697,7 @@ let suite =
     tc "indirect call" test_indirect_call;
     tc "call under divergence" test_call_in_divergence;
     tc "i32 store/load" test_i32_store_load;
-    tc "coalescing model" test_coalescing_counter ]
+    tc "coalescing model" test_coalescing_counter;
+    tc "no allocation per warp issue" test_alloc_per_issue;
+    tc "pooled frames read like fresh ones" test_pooled_frames_read_fresh;
+    tc "call frames not kept until team end" test_call_frames_not_retained ]

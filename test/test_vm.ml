@@ -7,6 +7,10 @@
    every proxy, every pipeline strength and every domain count — spilled
    allocations included (those functions fall back to interpretation).
 
+   Both executors run the backend's register-rename plan, so a second
+   differential pins renaming itself: the same compile launched with and
+   without its plan must agree on counters, checks and fault text.
+
    Also here: the seeded property suite for [Vm.sequentialize_copies]
    (cycle-breaking temps must preserve parallel-copy semantics, both on
    random copy sets and on every phi edge of irgen-generated kernels)
@@ -60,8 +64,10 @@ let fault_sig (f : Fault.t) =
     Fmt.(option ~none:(any "?") int) f.Fault.f_idx
     Fmt.(option ~none:(any "?") int) f.Fault.f_team
 
-(* assert two launches are observably identical *)
-let same_outcome ctx ir vm =
+(* assert two launches are observably identical; [names] label the two
+   sides in failure messages *)
+let same_outcome ?(names = ("ir", "vm")) ctx ir vm =
+  let ni, nv = names in
   match (ir, vm) with
   | Ok (ri, ci), Ok (rv, cv) ->
     Alcotest.(check int)
@@ -80,9 +86,9 @@ let same_outcome ctx ir vm =
   | Error fi, Error fv ->
     Alcotest.(check string) (ctx ^ ": fault") (fault_sig fi) (fault_sig fv)
   | Ok _, Error f ->
-    Alcotest.failf "%s: ir ok but vm faulted: %s" ctx (Fault.to_line f)
+    Alcotest.failf "%s: %s ok but %s faulted: %s" ctx ni nv (Fault.to_line f)
   | Error f, Ok _ ->
-    Alcotest.failf "%s: ir faulted (%s) but vm ok" ctx (Fault.to_line f)
+    Alcotest.failf "%s: %s faulted (%s) but %s ok" ctx ni (Fault.to_line f) nv
 
 (* pipeline variants per the issue: O0, baseline and the full pipeline *)
 let pipes p = [ Pipeline.o0; Pipeline.baseline; (E.new_rt_for p).C.b_pipe ]
@@ -123,6 +129,112 @@ let test_spill_fallback_identical () =
         (run_once ~machine ~exec:Engine.Exec_ir p b)
         (run_once ~machine ~exec:Engine.Exec_vm p b))
     (Registry.all_small ())
+
+(* --- register renaming: planned frames = unrenamed frames ----------------- *)
+
+(* Both executors run the backend's rename plan, so [vm = ir] above no
+   longer checks renaming. This does: one compile per (proxy, build),
+   launched on a device with the plan and on one without it
+   ([~plan:[]], frames of [f_next_reg] rows). Counters, check verdicts
+   and fault text must agree. *)
+let run_planned ?machine (p : Proxy.t) (b : C.build) =
+  let r = E.request_for ?machine p b in
+  let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
+  let launch plan =
+    let dev =
+      Device.create ~params:(Machine.cost_params c.C.c_machine) ~exec:c.C.c_exec
+        ~plan c.C.c_module
+    in
+    let inst = p.Proxy.p_setup dev in
+    let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
+    match
+      Device.launch ~opts:r.C.Request.rq_opts dev ~teams:p.Proxy.p_teams
+        ~threads:hw inst.Proxy.i_args
+    with
+    | Ok r -> Ok (r, inst.Proxy.i_check ())
+    | Error f -> Error f
+  in
+  let plan = c.C.c_lower.Backend.lw_plan in
+  (List.length plan, launch [], launch plan)
+
+let test_rename_identity () =
+  let planned = ref 0 in
+  let check ?machine ctx p b =
+    let n, without, with_plan = run_planned ?machine p b in
+    planned := !planned + n;
+    same_outcome ~names:("unrenamed", "renamed") ctx without with_plan
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun b -> check (Fmt.str "%s/%s" p.Proxy.p_name b.C.b_label) p b)
+        (E.builds_for p);
+      check ~machine:(Machine.with_reg_budget 8 Machine.vgpu)
+        (Fmt.str "%s spill8" p.Proxy.p_name)
+        p (E.new_rt_for p))
+    (Registry.all_small ());
+  Alcotest.(check bool) "plans were applied" true (!planned > 0)
+
+(* Fault text under renaming names the IR's own registers: [k] below runs
+   with a plan that reverses its register numbering, and its phi lacks
+   the incoming edge that executes, so the fault must still name %6. A
+   division by zero faults at the same site with the same text. *)
+let test_rename_fault_text () =
+  let parse = Ozo_ir.Parser.parse_module in
+  let reversed (m : modul) =
+    List.map
+      (fun f ->
+        let n = f.f_next_reg in
+        (f.f_name, { Engine.rp_map = Array.init n (fun r -> n - 1 - r); rp_nregs = n }))
+      m.m_funcs
+  in
+  let fault_of ~plan m args =
+    match Device.launch (Device.create ~plan m) ~teams:2 ~threads:40 args with
+    | Ok _ -> Alcotest.fail "expected a fault"
+    | Error f -> fault_sig f
+  in
+  let same name m args =
+    let unplanned = fault_of ~plan:[] m args in
+    Alcotest.(check string) name unplanned (fault_of ~plan:(reversed m) m args);
+    unplanned
+  in
+  let phi =
+    parse
+      {|module phi_fault
+
+kernel func k(%0: i64)
+entry:
+  %1 = thread.id
+  %2 = add %1, %0
+  br body
+body:
+  %3 = mul %2, 3:i64
+  br join
+other:
+  br join
+join:
+  %6 = phi i64 [other: %3]
+  ret
+|}
+  in
+  let msg = same "missing phi incoming" phi [ Engine.Ai 1 ] in
+  if not (Util.contains msg "phi %6 in join lacks incoming for body") then
+    Alcotest.failf "fault does not name the original register: %s" msg;
+  let div =
+    parse
+      {|module div_fault
+
+kernel func k(%0: i64)
+entry:
+  %1 = thread.id
+  %2 = add %1, 7:i64
+  %3 = sdiv %2, %0
+  ret
+|}
+  in
+  let msg = same "division by zero" div [ Engine.Ai 0 ] in
+  if not (Util.contains msg "division by zero@k/entry/2") then
+    Alcotest.failf "unexpected division fault: %s" msg
 
 (* --- sanitizer parity ----------------------------------------------------- *)
 
@@ -408,6 +520,10 @@ let suite =
   [ tc "vm = ir for every proxy x pipeline x domains" `Quick test_bit_identity;
     tc "vm = ir under an 8-register budget (spill fallback)" `Quick
       test_spill_fallback_identical;
+    tc "renamed frames = unrenamed frames for every proxy x build (+ spill8)"
+      `Quick test_rename_identity;
+    tc "fault text names original registers under a rename plan" `Quick
+      test_rename_fault_text;
     tc "sanitizer verdicts identical on the vm path" `Quick
       test_sanitizer_parity;
     tc "injected site identical on the vm path" `Quick
