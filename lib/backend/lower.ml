@@ -355,8 +355,3 @@ let run ?(machine = Machine.vgpu) ?am ?(trace = Trace.null) (m : modul)
             ("spill_stores", Trace.Int summary.lw_spill_stores) ]
         "backend:resources";
       summary)
-
-(* Occupancy of [kernel] under this lowering at a given team size. *)
-let occupancy (s : summary) ~threads_per_team : Machine.occupancy =
-  Machine.occupancy s.lw_machine ~threads_per_team
-    ~regs_per_thread:s.lw_kernel_regs ~shared_per_team:s.lw_layout.Smem.ly_total

@@ -19,50 +19,12 @@
 module C = Ozo_core.Codesign
 module Proxy = Ozo_proxies.Proxy
 module Pipeline = Ozo_opt.Pipeline
-module Fault = Ozo_vgpu.Fault
 module Trace = Ozo_obs.Trace
 module Device = Ozo_vgpu.Device
 
-type measurement = {
-  r_proxy : string;
-  r_build : string;
-  r_machine : string;    (* machine descriptor the row compiled/ran under *)
-  r_cycles : float;      (* occupancy-adjusted kernel time, simulated cycles *)
-  r_regs : int;
-  r_smem : int;
-  r_occupancy : float;
-  r_spills : int;        (* static spill loads + stores (0 = fit in budget) *)
-  r_counters : Ozo_vgpu.Counters.t;
-  r_check : (unit, string) result;
-  r_flops : float;
-  r_fault : Fault.t option;    (* what felled the primary configuration *)
-  r_fallbacks : string list;   (* weaker pipelines tried, in order *)
-  r_phase_us : (string * float) list; (* compile/decode/execute/readback; [] untraced *)
-  r_hotspots : Ozo_vgpu.Engine.hotspot list; (* [] unless profiling *)
-  r_cache : (int * int * int) option;
-  (* analysis-cache (hits, misses, invalidations) from the last pipeline
-     run of the attempt; None untraced *)
-  r_retries : int;       (* supervisor retries consumed (0 when unsupervised) *)
-  r_deadline_hit : bool; (* some attempt tripped the wall-clock watchdog *)
-  r_breaker : string;    (* circuit-breaker state: closed | open | skipped *)
-  r_exec : string;
-  (* executor the row ran on: "ir" (interpreter) or "vm" (threaded
-     code). Like [r_domains], results are bit-identical on both paths;
-     this records only how the row ran *)
-  r_domains : int;
-  (* effective OCaml domains the launch sharded teams over: the request
-     capped at the team count, 1 when no launch happened. Results are
-     bit-identical at every value; this records only how the row ran *)
-  r_cache_disp : string;
-  (* compile-cache disposition of the row's primary compile: "hit",
-     "miss", or "-" for the uncached one-shot path. Like [r_domains]
-     this records only *how* the row ran: a hit returns the identical
-     compiled artifact, so every measured field is unchanged *)
-  r_latency_us : float;
-  (* end-to-end service latency of the request (host microseconds,
-     queue admission to readback) when served by the campaign service;
-     0.0 on the batch path *)
-}
+(* the measurement record, its [blank] row and its one field table (and
+   the Fault/Counters/Engine aliases the table is written with) *)
+include Schema
 
 (* user errors outside a measurement (e.g. an unknown proxy name); runtime
    faults inside one are recorded in the measurement instead of raised *)
@@ -90,10 +52,8 @@ let build_of_name (p : Proxy.t) = function
     Error
       ("unknown build " ^ s ^ " (" ^ String.concat "|" build_names ^ ")")
 
-(* the harness's per-phase columns: compile time plus the engine's three
-   launch phases, read back from the trace after a clean attempt *)
-let phase_names = [ "compile"; "decode"; "execute"; "readback" ]
-
+(* the per-phase columns ([phase_names]), read back from the trace after
+   a clean attempt *)
 let phases_of trace =
   if Trace.enabled trace then
     List.map (fun n -> (n, Trace.last_dur trace n)) phase_names
@@ -118,14 +78,11 @@ let cache_of trace =
    supervisor, or a configuration skipped by an open circuit breaker). *)
 let dead_measurement ?(fallbacks = []) ?(machine = "vgpu") ~proxy ~build fault :
     measurement =
-  { r_proxy = proxy; r_build = build; r_machine = machine; r_cycles = 0.0; r_regs = 0;
-    r_smem = 0; r_occupancy = 0.0; r_spills = 0;
+  { blank with
+    r_proxy = proxy; r_build = build; r_machine = machine;
     r_counters = Ozo_vgpu.Counters.create ();
-    r_check = Error (Fault.to_line fault); r_flops = 0.0;
-    r_fault = Some fault; r_fallbacks = fallbacks; r_phase_us = [];
-    r_hotspots = []; r_cache = None;
-    r_retries = 0; r_deadline_hit = false; r_breaker = "closed"; r_exec = "ir";
-    r_domains = 1; r_cache_disp = "-"; r_latency_us = 0.0 }
+    r_check = Error (Fault.to_line fault); r_fault = Some fault;
+    r_fallbacks = fallbacks }
 
 (* The request for one standard harness row: the proxy's launch geometry
    under one build, with the measurement options folded into
@@ -177,17 +134,16 @@ let measure_request ?(compiler = C.compile_request) (p : Proxy.t)
       | Ok m ->
         let check = inst.Proxy.i_check () in
         let meas =
-          { r_proxy = p.Proxy.p_name; r_build = b.C.b_label;
+          { blank with
+            r_proxy = p.Proxy.p_name; r_build = b.C.b_label;
             r_machine = req.Rq.rq_machine.C.Machine.mc_name;
             r_cycles = m.C.m_kernel_cycles; r_regs = m.C.m_regs; r_smem = m.C.m_smem;
             r_occupancy = m.C.m_occupancy; r_spills = m.C.m_spills;
-            r_counters = m.C.m_counters;
-            r_check = check; r_flops = p.Proxy.p_flops; r_fault = None;
-            r_fallbacks = []; r_phase_us = phases_of trace;
-            r_hotspots = m.C.m_hotspots; r_cache = cache_of trace;
-            r_retries = 0; r_deadline_hit = false; r_breaker = "closed";
+            r_counters = m.C.m_counters; r_check = check; r_flops = p.Proxy.p_flops;
+            r_phase_us = phases_of trace; r_hotspots = m.C.m_hotspots;
+            r_cache = cache_of trace;
             r_exec = Ozo_vgpu.Engine.exec_name req.Rq.rq_exec;
-            r_domains = eff_domains; r_cache_disp = "-"; r_latency_us = 0.0 }
+            r_domains = eff_domains }
         in
         (match check with
         | Ok () -> Ok meas

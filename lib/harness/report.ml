@@ -107,9 +107,6 @@ let pp_ablation ppf (title, rows) =
    the table and the CSV derive their phase columns from the single
    [Experiments.phase_names] source, so adding an engine phase cannot
    leave header and rows disagreeing. *)
-let phase_us m name =
-  match List.assoc_opt name m.r_phase_us with Some v -> v | None -> 0.0
-
 let cache_str m =
   match m.r_cache with
   | None -> "-"
@@ -128,7 +125,7 @@ let pp_phases ppf (title, ms) =
       (fun m ->
         if m.r_phase_us <> [] then begin
           Fmt.pf ppf "  %-26s" m.r_build;
-          List.iter (fun n -> Fmt.pf ppf " %10.1f" (phase_us m n)) phase_names;
+          List.iter (fun n -> Fmt.pf ppf " %10.1f" (phase_us m.r_phase_us n)) phase_names;
           Fmt.pf ppf " %18s@." (cache_str m)
         end)
       ms
@@ -166,37 +163,11 @@ let pp_resilience ppf (title, ms) =
       ms
   end
 
-(* machine-readable one-line records, convenient for regression diffing.
-   The column list is the one source of truth: the header prints it and
-   the row writer is structured prefix / phases / suffix around the same
-   [phase_names], with a column-count assertion in the test suite.
-   The trailing cache/latency_us pair records how the row ran under the
-   serving tier ("-"/0.0 on the batch path); regression diffs against
-   the batch harness strip these two plus domains. *)
-let csv_columns =
-  [ "proxy"; "build"; "machine"; "cycles"; "regs"; "smem"; "occupancy"; "spills";
-    "warp_insts"; "barriers"; "check"; "fault"; "fallback" ]
-  @ List.map (fun n -> n ^ "_us") phase_names
-  @ [ "cache_hits"; "cache_misses"; "retries"; "deadline"; "breaker"; "exec";
-      "domains"; "cache"; "latency_us" ]
-
+(* machine-readable one-line records, convenient for regression diffing;
+   header and row are walks over [Experiments.table], so they cannot
+   disagree. Compare rows across ways of running the same request on
+   [Experiments.result_json], which drops the columns that record only
+   how a row ran (exec, domains, cache, latency_us, ...). *)
 let pp_csv_header ppf () = Fmt.pf ppf "%s@." (String.concat "," csv_columns)
 
-let pp_csv ppf m =
-  Fmt.pf ppf "%s,%s,%s,%.0f,%d,%d,%.3f,%d,%d,%d,%s,%s,%s"
-    m.r_proxy
-    m.r_build m.r_machine m.r_cycles m.r_regs m.r_smem m.r_occupancy m.r_spills
-    m.r_counters.Ozo_vgpu.Counters.warp_instructions
-    m.r_counters.Ozo_vgpu.Counters.barriers
-    (match m.r_check with Ok () -> "ok" | Error _ -> "fail")
-    (match m.r_fault with
-    | None -> "-"
-    | Some f -> Ozo_vgpu.Fault.kind_name f.Ozo_vgpu.Fault.f_kind)
-    (match m.r_fallbacks with [] -> "-" | fbs -> String.concat ">" fbs);
-  List.iter (fun n -> Fmt.pf ppf ",%.1f" (phase_us m n)) phase_names;
-  Fmt.pf ppf ",%d,%d,%d,%s,%s,%s,%d,%s,%.1f@."
-    (match m.r_cache with Some (h, _, _) -> h | None -> 0)
-    (match m.r_cache with Some (_, mi, _) -> mi | None -> 0)
-    m.r_retries
-    (if m.r_deadline_hit then "hit" else "-")
-    m.r_breaker m.r_exec m.r_domains m.r_cache_disp m.r_latency_us
+let pp_csv ppf m = Fmt.pf ppf "%s@." (csv_row m)

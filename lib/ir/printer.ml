@@ -165,4 +165,3 @@ let pp_module ppf m =
 
 let module_to_string m = Fmt.str "%a" pp_module m
 let func_to_string f = Fmt.str "%a" pp_func f
-let inst_to_string i = Fmt.str "%a" pp_inst i

@@ -163,15 +163,6 @@ let verify_module (m : modul) : violation list =
   in
   dup_globals @ dup_funcs @ List.concat_map (verify_func m) m.m_funcs
 
-exception Invalid of violation list
-
-let verify_exn m =
-  match verify_module m with
-  | [] -> ()
-  | vs ->
-    let msg = String.concat "; " (List.map (Fmt.str "%a" pp_violation) vs) in
-    raise (Invalid vs) |> fun () -> ignore msg
-
 let check m =
   match verify_module m with
   | [] -> Ok ()

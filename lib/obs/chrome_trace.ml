@@ -4,20 +4,6 @@
    conveyed by time containment on a single pid/tid, which both viewers
    reconstruct. All timestamps are microseconds, matching the format. *)
 
-let buf_add_escaped b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let buf_add_float b f =
   (* %.3f keeps sub-microsecond precision from the float clock while
      staying valid JSON (no "inf"/"nan" can reach here: durations are
@@ -27,28 +13,24 @@ let buf_add_float b f =
 let buf_add_value b = function
   | Trace.Int i -> Buffer.add_string b (string_of_int i)
   | Trace.Float f -> buf_add_float b f
-  | Trace.Str s ->
-    Buffer.add_char b '"';
-    buf_add_escaped b s;
-    Buffer.add_char b '"'
+  | Trace.Str s -> Json.buf_add_string b s
 
 let buf_add_args b args =
   Buffer.add_string b "\"args\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      buf_add_escaped b k;
-      Buffer.add_string b "\":";
+      Json.buf_add_string b k;
+      Buffer.add_char b ':';
       buf_add_value b v)
     args;
   Buffer.add_char b '}'
 
 let buf_add_common b ~name ~cat ~ts =
   Buffer.add_string b "\"name\":\"";
-  buf_add_escaped b name;
+  Json.buf_add_escaped b name;
   Buffer.add_string b "\",\"cat\":\"";
-  buf_add_escaped b (if cat = "" then "ozo" else cat);
+  Json.buf_add_escaped b (if cat = "" then "ozo" else cat);
   Buffer.add_string b "\",\"pid\":1,\"tid\":1,\"ts\":";
   buf_add_float b ts
 

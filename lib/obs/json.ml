@@ -1,7 +1,9 @@
 (* Minimal JSON reader used to validate emitted Chrome traces (schema
-   test, `ozo trace --check`, CI smoke) without an external dependency.
-   Accepts standard JSON; numbers are floats, \uXXXX escapes decode to
-   '?' outside ASCII (trace payloads we validate are ASCII anyway). *)
+   test, `ozo trace --check`, CI smoke) and to load campaign journals
+   without an external dependency, plus the one string escaper both JSON
+   writers (Chrome traces, journals) share. Accepts standard JSON;
+   numbers are floats, \uXXXX escapes decode to '?' outside ASCII (trace
+   payloads we validate are ASCII anyway). *)
 
 type t =
   | Null
@@ -167,3 +169,26 @@ let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_list = function Arr xs -> Some xs | _ -> None
 let to_string = function Str s -> Some s | _ -> None
 let to_number = function Num f -> Some f | _ -> None
+
+(* --- writing ------------------------------------------------------------- *)
+
+(* append [s] to [b] as the body of a JSON string literal (no quotes) *)
+let buf_add_escaped b s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s
+
+(* append [s] as a quoted JSON string literal *)
+let buf_add_string b s =
+  Buffer.add_char b '"';
+  buf_add_escaped b s;
+  Buffer.add_char b '"'

@@ -114,5 +114,3 @@ let pp_report ppf cx =
     pp_aggregates cx;
   Fmt.pf ppf "== analysis cache ==@,%a@," pp_cache cx;
   Fmt.pf ppf "== hot spots ==@,%a@]" pp_hotspots cx
-
-let report_to_string cx = Fmt.str "%a" pp_report cx

@@ -99,13 +99,6 @@ let with_span cx ?cat ?args name f =
   end
   else f ()
 
-(* Attach an argument to the innermost open span. *)
-let add_arg cx key v =
-  if cx.cx_on then
-    match cx.cx_open with
-    | s :: _ -> s.sp_args <- s.sp_args @ [ (key, v) ]
-    | [] -> ()
-
 let instant cx ?(cat = "") ?(args = []) name =
   if cx.cx_on then
     push_node cx (Instant { i_name = name; i_cat = cat; i_ts = now cx; i_args = args })
@@ -155,16 +148,7 @@ let last_dur cx name =
   | s :: _ when closed s -> dur s
   | _ -> 0.0
 
-(* total duration over every span named [name] *)
-let total_dur cx name =
-  List.fold_left (fun acc s -> acc +. dur s) 0.0 (spans_named cx name)
-
 let count_spans cx =
   let n = ref 0 in
   iter cx (function Span _ -> incr n | Instant _ -> ());
   !n
-
-let pp_value ppf = function
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.float ppf f
-  | Str s -> Fmt.string ppf s

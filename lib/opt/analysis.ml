@@ -45,9 +45,7 @@ module SSet = Cfg.SSet
    the content-derived ones, [pr_calls] the module call graph. *)
 type preserved = { pr_cfg : bool; pr_live : bool; pr_calls : bool }
 
-let preserve_all = { pr_cfg = true; pr_live = true; pr_calls = true }
 let preserve_none = { pr_cfg = false; pr_live = false; pr_calls = false }
-let preserve_cfg_only = { pr_cfg = true; pr_live = false; pr_calls = false }
 
 type stats = {
   mutable st_hits : int;

@@ -294,18 +294,6 @@ let has_interfering_store ctx ~obj ~off ~size ~from_ ~to_ =
         && reaches ctx from_ a.a_loc && reaches ctx a.a_loc to_)
     ctx.fc_accesses
 
-(* any write access to (obj, overlapping) anywhere in the function *)
-let any_store_to ctx ~obj ~off ~size ~except =
-  List.exists
-    (fun a ->
-      a.a_loc <> except
-      &&
-      match a.a_kind with
-      | `Load -> false
-      | `Store | `Atomic ->
-        List.exists (fun t -> t.t_obj = obj && overlap off size t.t_off) a.a_res)
-    ctx.fc_accesses
-
 let value_is_const = function
   | Imm_int _ | Imm_float _ | Func_addr _ | Global_addr _ -> true
   | Reg _ | Undef _ -> false

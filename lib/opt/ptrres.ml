@@ -69,9 +69,3 @@ let resolve (defs : defs) (o : operand) : res =
   in
   ignore shift;
   go 0 o
-
-(* Does the resolution touch the given global? *)
-let touches_global res name =
-  match res with
-  | Unknown -> false
-  | Known ts -> List.exists (fun t -> t.t_obj = Glob name) ts

@@ -22,9 +22,6 @@ type sink = {
 let make ?(trace = Ozo_obs.Trace.null) () =
   { sk_keep = true; sk_rev = []; sk_trace = trace }
 
-(* forward to a trace without retaining *)
-let trace_only trace = { sk_keep = false; sk_rev = []; sk_trace = trace }
-
 (* the shared no-op sink: no retention, no trace, no formatting cost *)
 let drop = { sk_keep = false; sk_rev = []; sk_trace = Ozo_obs.Trace.null }
 

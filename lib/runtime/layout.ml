@@ -26,7 +26,6 @@ let get_num_teams = "omp_get_num_teams"
 (* old-runtime specific worksharing (split distribute/for, chunked) *)
 let old_distribute_init = "__kmpc_old_distribute_static_init"
 let old_for_static_init = "__kmpc_old_for_static_init"
-let old_dispatch_next = "__kmpc_old_dispatch_next"
 
 (* --- device state globals -------------------------------------------- *)
 

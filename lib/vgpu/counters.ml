@@ -48,37 +48,40 @@ let create () =
     global_transactions = 0; shared_accesses = 0; local_accesses = 0; atomics = 0;
     mallocs = 0; calls = 0; divergent_branches = 0; cycles = 0; traps = 0 }
 
+(* Every counter as (name, get, set), in the one order the journal's
+   counters array uses. [equal], [add] and the measurement schema walk
+   this list, so a new counter is one more entry here plus its field. *)
+let fields : (string * (t -> int) * (t -> int -> unit)) list =
+  [ ( "warp_instructions",
+      (fun c -> c.warp_instructions),
+      fun c v -> c.warp_instructions <- v );
+    ( "lane_instructions",
+      (fun c -> c.lane_instructions),
+      fun c v -> c.lane_instructions <- v );
+    ("barriers", (fun c -> c.barriers), fun c v -> c.barriers <- v);
+    ("aligned_barriers", (fun c -> c.aligned_barriers), fun c v -> c.aligned_barriers <- v);
+    ( "global_transactions",
+      (fun c -> c.global_transactions),
+      fun c v -> c.global_transactions <- v );
+    ("shared_accesses", (fun c -> c.shared_accesses), fun c v -> c.shared_accesses <- v);
+    ("local_accesses", (fun c -> c.local_accesses), fun c v -> c.local_accesses <- v);
+    ("atomics", (fun c -> c.atomics), fun c v -> c.atomics <- v);
+    ("mallocs", (fun c -> c.mallocs), fun c v -> c.mallocs <- v);
+    ("calls", (fun c -> c.calls), fun c v -> c.calls <- v);
+    ( "divergent_branches",
+      (fun c -> c.divergent_branches),
+      fun c v -> c.divergent_branches <- v );
+    ("cycles", (fun c -> c.cycles), fun c v -> c.cycles <- v);
+    ("traps", (fun c -> c.traps), fun c v -> c.traps <- v) ]
+
 (* structural equality over every field; used by the golden-counters
    determinism tests to pin that perf work never changes simulated results *)
-let equal a b =
-  a.warp_instructions = b.warp_instructions
-  && a.lane_instructions = b.lane_instructions
-  && a.barriers = b.barriers
-  && a.aligned_barriers = b.aligned_barriers
-  && a.global_transactions = b.global_transactions
-  && a.shared_accesses = b.shared_accesses
-  && a.local_accesses = b.local_accesses
-  && a.atomics = b.atomics
-  && a.mallocs = b.mallocs
-  && a.calls = b.calls
-  && a.divergent_branches = b.divergent_branches
-  && a.cycles = b.cycles
-  && a.traps = b.traps
+let equal a b = List.for_all (fun (_, get, _) -> get a = get b) fields
 
 let add a b =
-  { warp_instructions = a.warp_instructions + b.warp_instructions;
-    lane_instructions = a.lane_instructions + b.lane_instructions;
-    barriers = a.barriers + b.barriers;
-    aligned_barriers = a.aligned_barriers + b.aligned_barriers;
-    global_transactions = a.global_transactions + b.global_transactions;
-    shared_accesses = a.shared_accesses + b.shared_accesses;
-    local_accesses = a.local_accesses + b.local_accesses;
-    atomics = a.atomics + b.atomics;
-    mallocs = a.mallocs + b.mallocs;
-    calls = a.calls + b.calls;
-    divergent_branches = a.divergent_branches + b.divergent_branches;
-    cycles = a.cycles + b.cycles;
-    traps = a.traps + b.traps }
+  let c = create () in
+  List.iter (fun (_, get, set) -> set c (get a + get b)) fields;
+  c
 
 (* cycles attributable to the memory system under the cost model [p];
    the latency-hiding part of the makespan estimate. [local_accesses]

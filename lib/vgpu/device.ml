@@ -72,8 +72,6 @@ let read_f64 t buf i = Memory.load_float t.d_mem ~thread:0 (buf.buf_ptr + (i * 8
 let read_i64_array t buf n = Array.init n (read_i64 t buf)
 let read_f64_array t buf n = Array.init n (read_f64 t buf)
 
-let static_shared_bytes t = t.d_static_shared
-
 (* Encoded device address of a module-level global, when it exists.
    Differential harnesses (the IR fuzzer) use this to read back
    accumulator globals that are not reachable through any buffer. *)

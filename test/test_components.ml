@@ -344,7 +344,7 @@ let test_report_formats () =
   List.iter
     (fun l ->
       Alcotest.(check int) "csv fields"
-        (List.length Ozo_harness.Report.csv_columns)
+        (List.length Ozo_harness.Experiments.csv_columns)
         (List.length (String.split_on_char ',' l)))
     rows
 

@@ -9,7 +9,6 @@
    do not divide the team count, and counts larger than it. *)
 
 module E = Ozo_harness.Experiments
-module R = Ozo_harness.Report
 module C = Ozo_core.Codesign
 module Proxy = Ozo_proxies.Proxy
 module Registry = Ozo_proxies.Registry
@@ -192,20 +191,16 @@ let test_injection_site_identical_across_domains () =
         [ 2; 4 ])
     [ 3; 42 ]
 
-(* --- CSV byte identity through the harness -------------------------------- *)
+(* --- result identity through the harness ----------------------------------- *)
 
 let test_csv_bytes_identical () =
   let p = Registry.find_exn "xsbench" in
   let b = E.new_rt_for p in
-  (* normalize what legitimately differs between the two runs: host
-     wall-clock phase times (absent here: untraced) and the domains
-     column, which records how the row ran *)
-  let normalize m = { m with E.r_phase_us = []; r_domains = 1 } in
-  let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
   let row domains = E.measure_request p (E.request_for ~domains p b) in
   let m1 = row 1 and m4 = row 4 in
   Alcotest.(check int) "effective domains recorded" 4 m4.E.r_domains;
-  Alcotest.(check string) "csv bytes identical" (csv m1) (csv m4)
+  (* every result field agrees; domains only records how the row ran *)
+  Alcotest.(check string) "results identical" (E.result_json m1) (E.result_json m4)
 
 let suite =
   [ tc "pool: chunking covers, stays contiguous and balanced" `Quick test_chunking;

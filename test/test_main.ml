@@ -19,6 +19,7 @@ let () =
       ("golden", Test_golden.suite);
       ("domains", Test_domains.suite);
       ("resilience", Test_resilience.suite);
+      ("schema", Test_schema.suite);
       ("serve", Test_serve.suite);
       ("properties", Test_props.suite);
       ("vm", Test_vm.suite);

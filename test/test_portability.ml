@@ -6,7 +6,8 @@
    must never change the *answer*. Per machine (most importantly the
    64-wide MI250), every proxy under every standard build must produce
    the same simulated results, the same per-team counters and the same
-   campaign CSV bytes across [--domains {1,4}] and [--exec {ir,vm}].
+   result fields in every campaign row across [--domains {1,4}] and
+   [--exec {ir,vm}].
 
    On top of bit-identity, a few cross-machine facts are pinned: the
    64-wide descriptor really does halve the warp count of a 32-wide
@@ -16,7 +17,6 @@
 
 module C = Ozo_core.Codesign
 module E = Ozo_harness.Experiments
-module R = Ozo_harness.Report
 module Proxy = Ozo_proxies.Proxy
 module Registry = Ozo_proxies.Registry
 module Machine = Ozo_backend.Machine
@@ -118,19 +118,13 @@ let test_bit_identity_per_machine () =
         (Registry.all_small ()))
     machines
 
-(* --- campaign CSV bytes identical across domains x exec ------------------- *)
+(* --- campaign results identical across domains x exec -------------------- *)
 
 let test_csv_bytes_identical_per_machine () =
   List.iter
     (fun machine ->
       let p = Registry.find_exn "xsbench" in
       let b = E.new_rt_for p in
-      (* the domains and exec columns record how the row ran; everything
-         else must agree byte for byte *)
-      let normalize m =
-        { m with E.r_phase_us = []; r_domains = 1; r_exec = "ir" }
-      in
-      let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
       let row domains exec =
         E.measure_request p (E.request_for ~machine ~domains ~exec p b)
       in
@@ -141,10 +135,11 @@ let test_csv_bytes_identical_per_machine () =
       List.iter
         (fun (domains, exec) ->
           let m = row domains exec in
+          (* domains and exec record how the row ran; every result field
+             must agree *)
           Alcotest.(check string)
-            (Fmt.str "%s csv bytes (domains=%d)" machine.Machine.mc_name
-               domains)
-            (csv reference) (csv m))
+            (Fmt.str "%s results (domains=%d)" machine.Machine.mc_name domains)
+            (E.result_json reference) (E.result_json m))
         [ (4, Engine.Exec_ir); (1, Engine.Exec_vm); (4, Engine.Exec_vm) ])
     machines
 

@@ -391,7 +391,7 @@ let prop_generic_construct_kernels =
 
 (* --- fault classification and journal round-trips ----------------------- *)
 
-module Journal = Ozo_resilience.Journal
+module Schema = Ozo_harness.Schema
 module Json = Ozo_obs.Json
 module Pipeline = Ozo_opt.Pipeline
 
@@ -439,10 +439,10 @@ let prop_fault_json_roundtrip =
   QCheck.Test.make ~name:"fault encodes to JSON and decodes back intact" ~count:100
     (QCheck.make gen_fault ~print:Fault.to_line)
     (fun f ->
-      match Json.parse (Journal.fault_to_json f) with
+      match Json.parse (Schema.fault_to_json f) with
       | Error e -> QCheck.Test.fail_reportf "unparseable encoding: %s" e
       | Ok j -> (
-        match Journal.fault_of_json j with
+        match Schema.fault_of_json j with
         | Error e -> QCheck.Test.fail_reportf "decode: %s" e
         | Ok f' ->
           f'.Fault.f_kind = f.Fault.f_kind

@@ -208,10 +208,8 @@ let test_journal_roundtrip () =
     Alcotest.(check int) "two entries" 2 (List.length entries);
     let r0 = (List.nth entries 0).Journal.e_m in
     let r1 = (List.nth entries 1).Journal.e_m in
-    Alcotest.(check string) "csv row 0 identical" (Fmt.str "%a" R.pp_csv m0)
-      (Fmt.str "%a" R.pp_csv r0);
-    Alcotest.(check string) "csv row 1 identical" (Fmt.str "%a" R.pp_csv m1)
-      (Fmt.str "%a" R.pp_csv r1);
+    Alcotest.(check string) "row 0 encoding identical" (E.to_json m0) (E.to_json r0);
+    Alcotest.(check string) "row 1 encoding identical" (E.to_json m1) (E.to_json r1);
     (match r1.E.r_fault with
     | Some f ->
       Alcotest.(check string) "fault line survives" (Fault.to_line (sample_fault ()))

@@ -13,10 +13,10 @@
      never results;
    - the service: queue order in = row order out, duplicated requests
      hit, a second pass over a warm cache recompiles nothing, and the
-     served CSV equals the sequential harness CSV modulo the trailing
-     cache/latency/domains columns;
+     served rows equal the sequential harness rows in every result field
+     ([Experiments.result_json]);
    - the CSV schema: header and rows agree on the column count, derived
-     from the one [csv_columns] source. *)
+     from the one [Experiments.csv_columns] source. *)
 
 module E = Ozo_harness.Experiments
 module R = Ozo_harness.Report
@@ -232,14 +232,12 @@ let test_warm_pass_recompiles_nothing () =
     warm.Service.st_cache.Cache.cs_misses;
   Alcotest.(check (float 0.001)) "warm pass: 100% hit rate" 1.0
     warm.Service.st_hit_rate;
-  (* warm rows bit-identical to cold rows modulo the volatile columns *)
-  let strip m = { m with E.r_cache_disp = "-"; r_latency_us = 0.0 } in
+  (* warm rows bit-identical to cold rows in every result field *)
   List.iteri
     (fun i (c, w) ->
       Alcotest.(check string)
         (Fmt.str "row %d identical warm vs cold" i)
-        (Fmt.str "%a" R.pp_csv (strip c))
-        (Fmt.str "%a" R.pp_csv (strip w)))
+        (E.result_json c) (E.result_json w))
     (List.combine cold_ms warm_ms)
 
 let test_served_vs_sequential () =
@@ -248,15 +246,11 @@ let test_served_vs_sequential () =
   (* a 2-domain service against the plain sequential harness *)
   let served, _ = Service.run { opts with Service.sv_domains = 2 } queue in
   let sequential = E.fig10 p in
-  let normalize m =
-    { m with E.r_cache_disp = "-"; r_latency_us = 0.0; r_domains = 1 }
-  in
   List.iteri
     (fun i (s, q) ->
       Alcotest.(check string)
         (Fmt.str "row %d identical to sequential harness" i)
-        (Fmt.str "%a" R.pp_csv (normalize q))
-        (Fmt.str "%a" R.pp_csv (normalize s)))
+        (E.result_json q) (E.result_json s))
     (List.combine served sequential)
 
 let test_service_journal () =
@@ -313,19 +307,19 @@ let count_fields line =
 let test_csv_columns () =
   let header = Fmt.str "%a" R.pp_csv_header () |> String.trim in
   Alcotest.(check int) "header matches csv_columns"
-    (List.length R.csv_columns) (count_fields header);
+    (List.length E.csv_columns) (count_fields header);
   let p = small "xsbench" in
   let row =
     Fmt.str "%a" R.pp_csv (E.measure_request p (E.request_for p C.new_rt))
     |> String.trim
   in
   Alcotest.(check int) "row matches csv_columns"
-    (List.length R.csv_columns) (count_fields row);
+    (List.length E.csv_columns) (count_fields row);
   (* the trailing columns regression diffs strip, in order *)
-  let n = List.length R.csv_columns in
+  let n = List.length E.csv_columns in
   Alcotest.(check (list string)) "trailing volatile columns"
     [ "domains"; "cache"; "latency_us" ]
-    (List.filteri (fun i _ -> i >= n - 3) R.csv_columns)
+    (List.filteri (fun i _ -> i >= n - 3) E.csv_columns)
 
 let suite =
   [ tc "compile key: stable" `Quick test_key_stable;

@@ -2,8 +2,8 @@
 
    The contract under test (DESIGN.md §15): `--exec vm` changes *only*
    wall-clock time. Counters, simulated results, faults (down to the
-   faulting site), injection behaviour, sanitizer verdicts and campaign
-   CSV rows must be byte-for-byte what the IR interpreter produces, for
+   faulting site), injection behaviour, sanitizer verdicts and every
+   result field of a campaign row must be byte-for-byte what the IR interpreter produces, for
    every proxy, every pipeline strength and every domain count — spilled
    allocations included (those functions fall back to interpretation).
 
@@ -17,7 +17,6 @@
    and a VM-shape golden pin for one proxy. *)
 
 module E = Ozo_harness.Experiments
-module R = Ozo_harness.Report
 module C = Ozo_core.Codesign
 module Proxy = Ozo_proxies.Proxy
 module Registry = Ozo_proxies.Registry
@@ -265,20 +264,16 @@ let test_injection_site_identical () =
         (run_once ~inject:spec ~exec:Engine.Exec_vm p b))
     [ 3; 42 ]
 
-(* --- CSV byte identity through the harness -------------------------------- *)
+(* --- result identity through the harness ----------------------------------- *)
 
 let test_csv_bytes_identical () =
   let p = Registry.find_exn "xsbench" in
   let b = E.new_rt_for p in
-  (* normalize what legitimately differs between the two runs: host
-     wall-clock phase times (absent here: untraced) and the exec column,
-     which records how the row ran *)
-  let normalize m = { m with E.r_phase_us = []; r_exec = "ir" } in
-  let csv m = Fmt.str "%a" R.pp_csv (normalize m) in
   let row exec = E.measure_request p (E.request_for ~exec p b) in
   let mi = row Engine.Exec_ir and mv = row Engine.Exec_vm in
   Alcotest.(check string) "exec path recorded" "vm" mv.E.r_exec;
-  Alcotest.(check string) "csv bytes identical" (csv mi) (csv mv)
+  (* every result field agrees; exec only records how the row ran *)
+  Alcotest.(check string) "results identical" (E.result_json mi) (E.result_json mv)
 
 (* --- the compile key fingerprints the exec path --------------------------- *)
 
