@@ -93,18 +93,17 @@ module Codecs = struct
     { enc = Json.buf_add_string;
       dec = (function Json.Str s -> Ok s | _ -> Error "expected a string") }
 
-  (* %.17g round-trips every finite float64 through decimal exactly, which
-     is what makes resumed CSV output byte-identical *)
+  (* %.17g round-trips every finite float64 through decimal exactly (an
+     integral one reads back as an [Int]): resumed CSV is byte-identical *)
   let num =
     { enc = (fun b f -> Printf.bprintf b "%.17g" f);
-      dec = (function Json.Num f -> Ok f | _ -> Error "expected a number") }
+      dec =
+        (function
+        | Json.Num f -> Ok f | Json.Int i -> Ok (float i) | _ -> Error "expected a number") }
 
   let int =
     { enc = (fun b i -> Buffer.add_string b (string_of_int i));
-      dec =
-        (function
-        | Json.Num f when Float.is_integer f -> Ok (int_of_float f)
-        | _ -> Error "expected an integer") }
+      dec = (function Json.Int i -> Ok i | _ -> Error "expected an integer") }
 
   let bool =
     { enc = (fun b v -> Buffer.add_string b (string_of_bool v));
@@ -185,8 +184,7 @@ module Codecs = struct
     conv str ~from:Fault.kind_name ~into:(fun s ->
         Option.to_result ~none:("unknown fault kind " ^ s) (Fault.kind_of_name s))
 
-  (* int64 as a decimal string: the float-backed JSON number type cannot
-     hold a full 64-bit lane mask exactly *)
+  (* int64 as a decimal string: a JSON integer reads as a 63-bit [int] *)
   let lanes =
     conv str ~from:Int64.to_string ~into:(fun s ->
         Option.to_result ~none:("bad lane mask " ^ s) (Int64.of_string_opt s))

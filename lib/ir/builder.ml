@@ -148,7 +148,6 @@ let finish t =
 let i1 b = Imm_int ((if b then 1L else 0L), I1)
 let i32 n = Imm_int (Int64.of_int n, I32)
 let i64 n = Imm_int (Int64.of_int n, I64)
-let i64' n = Imm_int (n, I64)
 let f64 x = Imm_float x
 
 let binop t op a b =

@@ -2,12 +2,13 @@
    test, `ozo trace --check`, CI smoke) and to load campaign journals
    without an external dependency, plus the one string escaper both JSON
    writers (Chrome traces, journals) share. Accepts standard JSON;
-   numbers are floats, \uXXXX escapes decode to '?' outside ASCII (trace
-   payloads we validate are ASCII anyway). *)
+   integers read exactly, other numbers as floats, \uXXXX escapes decode
+   to '?' outside ASCII (trace payloads we validate are ASCII anyway). *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of t list
@@ -92,9 +93,10 @@ let parse (s : string) : (t, string) result =
       advance ()
     done;
     let str = String.sub s start (!pos - start) in
-    match float_of_string_opt str with
-    | Some f -> Num f
-    | None -> fail ("bad number " ^ str)
+    match (int_of_string_opt str, float_of_string_opt str) with
+    | Some i, _ when string_of_int i = str -> Int i
+    | _, Some f -> Num f
+    | _ -> fail ("bad number " ^ str)
   in
   let rec parse_value () =
     skip_ws ();
@@ -168,7 +170,7 @@ let parse (s : string) : (t, string) result =
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_list = function Arr xs -> Some xs | _ -> None
 let to_string = function Str s -> Some s | _ -> None
-let to_number = function Num f -> Some f | _ -> None
+let to_number = function Num f -> Some f | Int i -> Some (float i) | _ -> None
 
 (* --- writing ------------------------------------------------------------- *)
 

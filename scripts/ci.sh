@@ -10,6 +10,8 @@ echo "== build =="
 dune build
 
 echo "== tests =="
+# every alcotest suite (among them the differential oracle, the analysis
+# manager, backend, portability and tuner suites) and the ozobench smoke
 dune runtest
 
 CLI=_build/default/bin/ozo_cli.exe
@@ -20,12 +22,6 @@ echo "== sanitizer: clean proxy =="
 echo "== injection smoke campaign =="
 "$CLI" campaign xsbench --small --inject corrupt-load --seed 5
 "$CLI" campaign rsbench --small --inject skip-barrier --seed 11
-
-echo "== domain-parallel engine: bit-identity suite =="
-# sequential vs domain-sharded launches must agree byte-for-byte:
-# per-team counters, totals, faults (kind + site + team), injection
-# sites, sanitizer verdicts and campaign CSV rows
-dune exec test/test_main.exe -- test domains
 
 echo "== domain-parallel campaign smoke =="
 # the full supervised campaign path sharded over 4 domains; every row
@@ -39,12 +35,6 @@ sed -n '/^proxy,build/,$p' _build/ci_campaign_d1.out | sed 's/\(,[^,]*\)\{3\}$//
 diff _build/ci_d1.csv _build/ci_d4.csv || {
   echo "FAIL: campaign CSV differs between --domains 1 and --domains 4"; exit 1; }
 echo "domain-parallel campaign OK: CSV identical to sequential"
-
-echo "== threaded-code executor: bit-identity suite =="
-# IR-interpreter vs threaded-code launches must agree byte-for-byte:
-# counters, faults, injection sites, sanitizer verdicts, campaign CSV
-# rows, compile-key separation and the parallel-copy property suite
-dune exec test/test_main.exe -- test vm
 
 echo "== threaded-code campaign smoke =="
 # the full supervised campaign on the vm execution path (every proxy
@@ -68,11 +58,6 @@ plan=$("$CLI" vm xsbench --small --csv | awk -F, '$2 == "New RT" { print $12 }')
   echo "FAIL: ozo vm reports plan '${plan:-}' for xsbench (want vm)"; exit 1; }
 echo "xsbench kernel on the threaded-code plan"
 
-echo "== analysis manager: differential invalidation =="
-# every pass x config x proxy with after-each-pass coherence checking,
-# plus the cached-vs-uncached bit-identical IR pin
-dune exec test/test_main.exe -- test analysis
-
 echo "== analysis cache smoke =="
 # --profile prints "analysis cache: N hits, ..."; require a nonzero hit
 # count so a silently-disabled cache fails CI
@@ -80,12 +65,6 @@ hits=$("$CLI" run xsbench --small --profile | sed -n 's/^analysis cache: \([0-9]
 [ -n "$hits" ] && [ "$hits" -gt 0 ] || {
   echo "FAIL: analysis cache reported no hits (got '${hits:-}')"; exit 1; }
 echo "analysis cache hits: $hits"
-
-echo "== backend: differential spill run =="
-# a tiny register budget must force spills AND still validate (spilled
-# execution is bit-identical to the unlimited-register run); plus the
-# occupancy/resource suite against hand-computed A100 limits
-dune exec test/test_main.exe -- test backend
 
 echo "== backend: ozo regs smoke =="
 # the default-budget resource table (regs/smem/occupancy/spills per
@@ -159,13 +138,6 @@ sed -n '/^proxy,build/,$p' _build/ci_campaign_r2.out \
 diff _build/ci_seq.csv _build/ci_serve.csv || {
   echo "FAIL: served CSV differs from the sequential campaign"; exit 1; }
 echo "serve OK: ${hitrate}% cache hit rate, CSV identical to sequential campaign"
-
-echo "== portability: per-machine bit-identity + tuner suites =="
-# per machine descriptor (incl. the 64-wide mi250): counters, checks and
-# campaign CSV bytes identical across --domains {1,4} x --exec {ir,vm};
-# plus the autotuner/matrix determinism and soundness suites
-dune exec test/test_main.exe -- test portability
-dune exec test/test_main.exe -- test tune
 
 echo "== machines smoke =="
 # every descriptor the matrix sweeps must be listed, with its wavefront

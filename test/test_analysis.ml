@@ -16,7 +16,6 @@ module Pipeline = Ozo_opt.Pipeline
 module B = Ozo_ir.Builder
 module C = Ozo_core.Codesign
 module Proxy = Ozo_proxies.Proxy
-module Registry = Ozo_proxies.Registry
 
 (* a small two-block function module for the unit tests *)
 let diamond_module () =
@@ -161,11 +160,6 @@ let linked_module (p : Proxy.t) (b : C.build) =
   match b.C.b_rt with
   | None -> app
   | Some rt -> Ozo_ir.Linker.link app (Ozo_runtime.Runtime.build rt)
-
-let small_proxy name =
-  match List.find_opt (fun p -> p.Proxy.p_name = name) (Registry.all_small ()) with
-  | Some p -> p
-  | None -> Alcotest.failf "no small proxy %s" name
 
 let configs = [ Pipeline.o0; Pipeline.baseline; Pipeline.nightly; Pipeline.full ]
 

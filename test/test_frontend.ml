@@ -20,17 +20,6 @@ let compile_unopt abi rt kernel =
   | None -> app
   | Some cfg -> Ozo_ir.Linker.link app (Runtime.build cfg)
 
-(* launch helper honoring generic-mode thread layout *)
-let run_kernel name m ~kernel ~teams ~threads args =
-  check_verifies name m;
-  let threads =
-    match Ozo_opt.Spmdize.kernel_mode m kernel with
-    | Ozo_opt.Spmdize.Generic -> threads + 32
-    | Ozo_opt.Spmdize.Spmd -> threads
-  in
-  let dev = Device.create m in
-  (dev, Device.launch dev ~teams ~threads args)
-
 let test_free_vars () =
   let body =
     [ Let ("a", Add (P "x", Int 1));

@@ -87,11 +87,6 @@ let build_of p = function
   | "new-rt" -> E.new_rt_for p
   | b -> Alcotest.failf "unknown golden build %s" b
 
-let small name =
-  match List.find_opt (fun p -> p.Proxy.p_name = name) (Registry.all_small ()) with
-  | Some p -> p
-  | None -> Alcotest.failf "unknown proxy %s" name
-
 let measure_once p b =
   let m = E.measure_request p (E.request_for p b) in
   (match m.E.r_fault with
@@ -147,7 +142,7 @@ let test_snapshot () =
     (List.length golden = List.length (Registry.all_small ()) * List.length builds);
   List.iter
     (fun (pname, bname, expect) ->
-      let p = small pname in
+      let p = Util.small_proxy pname in
       let m = measure_once p (build_of p bname) in
       let got = snap_of m.E.r_counters in
       if got <> expect then
@@ -165,7 +160,7 @@ let test_resource_snapshot () =
     = List.length (Registry.all_small ()) * List.length builds);
   List.iter
     (fun (pname, bname, expect) ->
-      let p = small pname in
+      let p = Util.small_proxy pname in
       let m = measure_once p (build_of p bname) in
       let got = rsnap_of m in
       if got <> expect then

@@ -17,11 +17,16 @@ let () =
       ("faults", Test_faults.suite);
       ("obs", Test_obs.suite);
       ("golden", Test_golden.suite);
-      ("domains", Test_domains.suite);
       ("resilience", Test_resilience.suite);
       ("schema", Test_schema.suite);
       ("serve", Test_serve.suite);
       ("properties", Test_props.suite);
+      (* the differential oracle's rows (test/oracle.ml), next to each
+         other so that the cells they share are alive only while they
+         run; [oracle] first, so that its [Cached] variant asks the
+         capped cache again right after the cell's vm compile *)
+      ("oracle", Oracle.suite);
+      ("domains", Test_domains.suite);
       ("vm", Test_vm.suite);
       ("portability", Test_portability.suite);
       ("tune", Test_tune.suite) ]

@@ -293,30 +293,43 @@ let test_journal_rejects_malformed_middle_line () =
 
 (* --- campaign kill / resume -------------------------------------------- *)
 
-let campaign_opts journal resume abort_after =
+let campaign_opts ?inject journal resume abort_after =
   { Campaign.default with
     Campaign.co_proxies = [ "xsbench" ]; co_small = true; co_journal = journal;
-    co_resume = resume; co_abort_after = abort_after }
+    co_resume = resume; co_abort_after = abort_after; co_inject = inject }
 
-let csv_of ms =
-  Fmt.str "%a%a" R.pp_csv_header () (fun ppf -> List.iter (R.pp_csv ppf)) ms
+(* what `ozo campaign` prints for [ms]: the tables, fault lines included,
+   then the CSV *)
+let printed ms =
+  Fmt.str "%a%a%a%a%a" R.pp_fig10 ("xsbench", ms) R.pp_fig11 ("xsbench", ms)
+    R.pp_resilience ("xsbench", ms) R.pp_csv_header ()
+    (Fmt.list ~sep:Fmt.nop R.pp_csv) ms
 
+(* clean, and with an injected pointer corruption whose fault is
+   journaled before the kill and replayed on resume *)
 let test_campaign_resume_identical () =
-  let path = Filename.temp_file "ozo_campaign" ".jsonl" in
-  (* killed mid-run after 3 fresh rows *)
-  (match Campaign.run (campaign_opts (Some path) false (Some 3)) with
-  | _ -> Alcotest.fail "expected the abort hook to fire"
-  | exception Campaign.Aborted _ -> ());
-  (match Journal.load ~path with
-  | Ok (_, entries) -> Alcotest.(check int) "three journaled rows" 3 (List.length entries)
-  | Error e -> Alcotest.failf "journal after abort: %s" e);
-  (* resumed run completes the remaining rows *)
-  let resumed = Campaign.run (campaign_opts (Some path) true None) in
-  (* uninterrupted reference run *)
-  let full = Campaign.run (campaign_opts None false None) in
-  Alcotest.(check int) "row count" (List.length full) (List.length resumed);
-  Alcotest.(check string) "byte-identical CSV" (csv_of full) (csv_of resumed);
-  Sys.remove path
+  List.iter
+    (fun inject ->
+      let path = Filename.temp_file "ozo_campaign" ".jsonl" in
+      (* killed mid-run after 3 fresh rows *)
+      (match Campaign.run (campaign_opts ?inject (Some path) false (Some 3)) with
+      | _ -> Alcotest.fail "expected the abort hook to fire"
+      | exception Campaign.Aborted _ -> ());
+      (match Journal.load ~path with
+      | Ok (_, entries) ->
+        Alcotest.(check int) "three journaled rows" 3 (List.length entries)
+      | Error e -> Alcotest.failf "journal after abort: %s" e);
+      (* resumed run completes the remaining rows *)
+      let resumed = Campaign.run (campaign_opts ?inject (Some path) true None) in
+      (* uninterrupted reference run *)
+      let full = Campaign.run (campaign_opts ?inject None false None) in
+      Alcotest.(check int) "row count" (List.length full) (List.length resumed);
+      Alcotest.(check string) "byte-identical output" (printed full) (printed resumed);
+      Sys.remove path)
+    [ None;
+      Some
+        { Ozo_vgpu.Faultinject.s_action = Corrupt_load; s_fn = None; s_nth = None;
+          s_seed = 1 } ]
 
 let test_campaign_resume_rejects_other_fingerprint () =
   let path = Filename.temp_file "ozo_campaign" ".jsonl" in

@@ -10,7 +10,8 @@
      re-encoded;
    - the decoder, generated from the table: a journal line missing any
      one key, or holding a value of the wrong JSON type under it, is
-     refused with the line number and the field's name;
+     refused with the line number and the field's name, and every
+     integer comes back exact, max_int and min_int included;
    - provenance: [without_how] resets exactly the How fields.
 
    To regenerate the goldens after an intentional format change, run
@@ -143,6 +144,7 @@ let test_goldens_reencode () =
 let rec json_to_string = function
   | Json.Null -> "null"
   | Json.Bool v -> string_of_bool v
+  | Json.Int i -> string_of_int i
   | Json.Num f -> Printf.sprintf "%.17g" f
   | Json.Str s ->
     let b = Buffer.create 16 in
@@ -209,6 +211,31 @@ let test_decoder_wrong_type () =
   |> expect_refusal ~what:"fractional regs"
        ~names:(String.starts_with ~prefix:"line 3: field m: field regs: expected an integer")
 
+(* integers are exact: max_int, min_int and 2^53 + 1 in every integer of
+   a line, nested ones included, load and encode back unchanged *)
+let test_decoder_edge_ints () =
+  let rec set_ints v = function
+    | Json.Int _ -> Json.Int v
+    | Json.Arr xs -> Json.Arr (List.map (set_ints v) xs)
+    | Json.Obj kvs -> Json.Obj (List.map (fun (k, x) -> (k, set_ints v x)) kvs)
+    | j -> j
+  in
+  let kvs = match Json.parse (E.to_json every_field) with Ok (Json.Obj kvs) -> kvs | _ -> [] in
+  List.iter
+    (fun v ->
+      let edit = List.map (fun (k, x) -> (k, set_ints v x)) in
+      (* line 3 of the journal holds its second row *)
+      match load_with_line3 edit with
+      | Ok (_, [ _; e; _ ]) ->
+        List.iter
+          (fun f ->
+            Alcotest.(check string) (Fmt.str "%d in %s" v (key f))
+              (json_to_string (List.assoc (key f) (edit kvs)))
+              (field_json f e.Journal.e_m))
+          E.table
+      | _ -> Alcotest.failf "%d: line 3 does not load" v)
+    [ max_int; min_int; (1 lsl 53) + 1 ]
+
 (* --- provenance ---------------------------------------------------------------- *)
 
 let test_without_how () =
@@ -231,4 +258,5 @@ let suite =
     tc "golden: decode + re-encode is byte-identical" test_goldens_reencode;
     tc "decoder: a missing key names line and field" test_decoder_missing_key;
     tc "decoder: a wrong-typed value names line and field" test_decoder_wrong_type;
+    tc "decoder: integers round-trip exactly at the edges" test_decoder_edge_ints;
     tc "provenance: without_how resets exactly the How fields" test_without_how ]

@@ -32,13 +32,6 @@ module Journal = Ozo_resilience.Journal
 
 let tc = Alcotest.test_case
 
-let small name =
-  match
-    List.find_opt (fun p -> p.Proxy.p_name = name) (Registry.all_small ())
-  with
-  | Some p -> p
-  | None -> Alcotest.failf "no small proxy %s" name
-
 let request ?(build = C.new_rt) p =
   E.request_for p { build with C.b_label = build.C.b_label }
 
@@ -49,14 +42,14 @@ let key_of (r : Request.t) p =
 (* --- the compile key ----------------------------------------------------- *)
 
 let test_key_stable () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let r = request p in
   let k1 = key_of r p and k2 = key_of r p in
   Alcotest.(check bool) "same input, same key" true (C.Compile_key.equal k1 k2);
   Alcotest.(check int) "md5 hex" 32 (String.length (C.Compile_key.hex k1))
 
 let test_key_sensitivity () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let base = request p in
   let base_key = key_of base p in
   let differs what r =
@@ -78,14 +71,14 @@ let test_key_sensitivity () =
   differs "machine"
     { base with Request.rq_machine = Machine.with_reg_budget 8 Machine.vgpu };
   (* the linked IR: a different kernel under the identical build *)
-  let q = small "rsbench" in
+  let q = Util.small_proxy "rsbench" in
   let rq = request q in
   Alcotest.(check bool) "different IR changes the key" false
     (C.Compile_key.equal base_key (key_of { rq with Request.rq_build = b } q))
 
 (* launch options must NOT participate: they don't feed the compile *)
 let test_key_ignores_launch_opts () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let r = request p in
   let r' =
     { r with
@@ -98,26 +91,12 @@ let test_key_ignores_launch_opts () =
 
 (* --- the cache ----------------------------------------------------------- *)
 
-(* Observable identity of a compiled artifact: resource numbers plus a
-   full launch's metrics and differential check. Two separate compiles of
-   the same kernel alpha-vary register names (process-global gensym), so
-   printout equality is too strong — the pinned contract is that every
-   *measurement* agrees, which is exactly what campaign repeats and the
-   CI CSV diffs rely on. *)
-let run_fingerprint (p : Proxy.t) (r : Request.t) (c : C.compiled) =
-  let dev = C.device_request r c in
-  let inst = p.Proxy.p_setup dev in
-  match C.launch_request r c dev inst.Proxy.i_args with
-  | Error f -> "fault:" ^ Ozo_vgpu.Fault.kind_name f.Ozo_vgpu.Fault.f_kind
-  | Ok m ->
-    Fmt.str "%s/%.0f/%d/%d/%.3f/%d/%d/%d/%b" c.C.c_kernel m.C.m_kernel_cycles
-      m.C.m_regs m.C.m_smem m.C.m_occupancy m.C.m_spills
-      m.C.m_counters.Ozo_vgpu.Counters.warp_instructions
-      m.C.m_counters.Ozo_vgpu.Counters.barriers
-      (inst.Proxy.i_check () = Ok ())
+(* what a launch of [c] shows: two compiles of one kernel alpha-vary
+   register names, so artifacts are compared by what they do *)
+let observed p r c = Oracle.launch p r c (C.device_request r c)
 
 let test_hit_identity () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let r = request p in
   let k = Proxy.kernel_for p r.Request.rq_build.C.b_abi in
   let cache = Cache.create () in
@@ -128,15 +107,15 @@ let test_hit_identity () =
   Alcotest.(check bool) "hit returns the cached artifact itself" true (c1 == c2);
   (* and the cached artifact behaves exactly like a cold compile *)
   let cold = C.compile_request r k in
-  Alcotest.(check string) "artifact identical to cold compile"
-    (run_fingerprint p r cold) (run_fingerprint p r c1);
+  Alcotest.(check (list string)) "artifact identical to cold compile"
+    (observed p r cold) (observed p r c1);
   let s = Cache.stats cache in
   Alcotest.(check int) "hits" 1 s.Cache.cs_hits;
   Alcotest.(check int) "misses" 1 s.Cache.cs_misses;
   Alcotest.(check int) "entries" 1 s.Cache.cs_entries
 
 let test_eviction_identity () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let a = request p in
   let b = { a with Request.rq_build = C.cuda } in
   let kernel_for r = Proxy.kernel_for p r.Request.rq_build.C.b_abi in
@@ -161,9 +140,9 @@ let test_eviction_identity () =
   in
   List.iteri
     (fun i ((r, c), (r', c')) ->
-      Alcotest.(check string)
+      Alcotest.(check (list string))
         (Fmt.str "artifact %d identical under eviction" i)
-        (run_fingerprint p r' c') (run_fingerprint p r c))
+        (observed p r' c') (observed p r c))
     (List.combine capped_runs free_runs)
 
 let test_cap_validation () =
@@ -241,7 +220,7 @@ let test_warm_pass_recompiles_nothing () =
     (List.combine cold_ms warm_ms)
 
 let test_served_vs_sequential () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let queue = List.map (fun b -> ("xsbench", b)) E.build_names in
   (* a 2-domain service against the plain sequential harness *)
   let served, _ = Service.run { opts with Service.sv_domains = 2 } queue in
@@ -290,14 +269,13 @@ let test_unknown_names () =
 (* --- the request API wrappers -------------------------------------------- *)
 
 let test_wrapper_parity () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let r = request p in
   let k = Proxy.kernel_for p r.Request.rq_build.C.b_abi in
   let via_request = C.compile_request r k in
   let _, finish = C.keyed_compile_request r k in
-  Alcotest.(check string) "keyed thunk = compile_request"
-    (run_fingerprint p r via_request)
-    (run_fingerprint p r (finish ()))
+  Alcotest.(check (list string)) "keyed thunk = compile_request"
+    (observed p r via_request) (observed p r (finish ()))
 
 (* --- the CSV schema ------------------------------------------------------ *)
 
@@ -308,7 +286,7 @@ let test_csv_columns () =
   let header = Fmt.str "%a" R.pp_csv_header () |> String.trim in
   Alcotest.(check int) "header matches csv_columns"
     (List.length E.csv_columns) (count_fields header);
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let row =
     Fmt.str "%a" R.pp_csv (E.measure_request p (E.request_for p C.new_rt))
     |> String.trim

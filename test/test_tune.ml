@@ -21,9 +21,6 @@ module Chrome = Ozo_obs.Chrome_trace
 
 let tc = Alcotest.test_case
 
-let small name =
-  List.find (fun p -> p.Proxy.p_name = name) (Registry.all_small ())
-
 let csv_of_verdict v =
   Fmt.str "%a%a" Tune.pp_csv_header () Tune.pp_csv v
 
@@ -32,7 +29,7 @@ let csv_of_verdict v =
 let test_search_deterministic () =
   List.iter
     (fun (machine, seed) ->
-      let p = small "xsbench" in
+      let p = Util.small_proxy "xsbench" in
       let once () =
         Tune.search ~seed ~machine p ~build_name:"new-rt"
       in
@@ -49,7 +46,7 @@ let test_search_deterministic () =
       (Machine.h100, 42) ]
 
 let test_measured_refinement_deterministic () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let once () =
     Tune.search ~seed:3 ~measure_top:3 ~machine:Machine.mi250 p
       ~build_name:"new-rt"
@@ -134,7 +131,7 @@ let test_finds_improvement () =
 (* --- verdict lands in the trace and the journal ----------------------------- *)
 
 let test_verdict_in_trace () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let trace = Trace.make () in
   let _ = Tune.search ~trace ~machine:Machine.mi250 p ~build_name:"new-rt" in
   let path = Filename.temp_file "ozo_tune" ".trace.json" in
@@ -149,7 +146,7 @@ let test_verdict_in_trace () =
         (Util.contains s "tune-verdict"))
 
 let test_journal_append () =
-  let p = small "xsbench" in
+  let p = Util.small_proxy "xsbench" in
   let v = Tune.search ~machine:Machine.h100 p ~build_name:"new-rt" in
   let path = Filename.temp_file "ozo_tune" ".jsonl" in
   Fun.protect

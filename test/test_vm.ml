@@ -1,17 +1,15 @@
-(* Threaded-code executor: differential bit-identity tests.
-
-   The contract under test (DESIGN.md §15): `--exec vm` changes *only*
-   wall-clock time. Counters, simulated results, faults (down to the
-   faulting site), injection behaviour, sanitizer verdicts and every
-   result field of a campaign row must be byte-for-byte what the IR interpreter produces, for
-   every proxy, every pipeline strength and every domain count — spilled
-   allocations included (those functions fall back to interpretation).
+(* Threaded-code executor (DESIGN.md §15). That `--exec vm` changes only
+   wall-clock time — counters, results, faults, injection sites,
+   sanitizer verdicts and rows identical to the IR interpreter, spilled
+   allocations included — is the oracle's [Vm] variant (test/oracle.ml),
+   whose rows open this suite (the spill fallback's is in [oracle]).
 
    Both executors run the backend's register-rename plan, so a second
    differential pins renaming itself: the same compile launched with and
-   without its plan must agree on counters, checks and fault text.
+   without its plan must show the same, fault text included.
 
-   Also here: the seeded property suite for [Vm.sequentialize_copies]
+   Also here: the compile key and the campaign fingerprint carry the
+   exec path, the seeded property suite for [Vm.sequentialize_copies]
    (cycle-breaking temps must preserve parallel-copy semantics, both on
    random copy sets and on every phi edge of irgen-generated kernels)
    and a VM-shape golden pin for one proxy. *)
@@ -23,9 +21,7 @@ module Registry = Ozo_proxies.Registry
 module Pipeline = Ozo_opt.Pipeline
 module Device = Ozo_vgpu.Device
 module Engine = Ozo_vgpu.Engine
-module Counters = Ozo_vgpu.Counters
 module Fault = Ozo_vgpu.Fault
-module Faultinject = Ozo_vgpu.Faultinject
 module Machine = Ozo_backend.Machine
 module Backend = Ozo_backend.Lower
 module Regalloc = Ozo_backend.Regalloc
@@ -36,132 +32,26 @@ open Ozo_ir.Types
 
 let tc = Alcotest.test_case
 
-(* --- launch helpers ------------------------------------------------------ *)
-
-let run_once ?inject ?(sanitize = false) ?(domains = 1) ?machine ~exec
-    (p : Proxy.t) (b : C.build) :
-    (Engine.result * (unit, string) result, Fault.t) result =
-  let r = E.request_for ?inject ~sanitize ~domains ?machine ~exec p b in
-  let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
-  let dev = C.device_request r c in
-  let inst = p.Proxy.p_setup dev in
-  let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
-  match
-    Device.launch ~opts:r.C.Request.rq_opts dev ~teams:p.Proxy.p_teams
-      ~threads:hw inst.Proxy.i_args
-  with
-  | Ok r -> Ok (r, inst.Proxy.i_check ())
-  | Error f -> Error f
-
-let check_str = function Ok () -> "ok" | Error e -> "FAILED: " ^ e
-
-let fault_sig (f : Fault.t) =
-  Fmt.str "%s:%s@%a/%a/%a team=%a" (Fault.kind_name f.Fault.f_kind)
-    f.Fault.f_msg
-    Fmt.(option ~none:(any "?") string) f.Fault.f_fn
-    Fmt.(option ~none:(any "?") string) f.Fault.f_blk
-    Fmt.(option ~none:(any "?") int) f.Fault.f_idx
-    Fmt.(option ~none:(any "?") int) f.Fault.f_team
-
-(* assert two launches are observably identical; [names] label the two
-   sides in failure messages *)
-let same_outcome ?(names = ("ir", "vm")) ctx ir vm =
-  let ni, nv = names in
-  match (ir, vm) with
-  | Ok (ri, ci), Ok (rv, cv) ->
-    Alcotest.(check int)
-      (ctx ^ ": team count")
-      (List.length ri.Engine.r_counters)
-      (List.length rv.Engine.r_counters);
-    List.iteri
-      (fun i (a, b) ->
-        if not (Counters.equal a b) then
-          Alcotest.failf "%s: team %d counters diverge:@.%a@.vs@.%a" ctx i
-            Counters.pp a Counters.pp b)
-      (List.combine ri.Engine.r_counters rv.Engine.r_counters);
-    if not (Counters.equal ri.Engine.r_total rv.Engine.r_total) then
-      Alcotest.failf "%s: totals diverge" ctx;
-    Alcotest.(check string) (ctx ^ ": check") (check_str ci) (check_str cv)
-  | Error fi, Error fv ->
-    Alcotest.(check string) (ctx ^ ": fault") (fault_sig fi) (fault_sig fv)
-  | Ok _, Error f ->
-    Alcotest.failf "%s: %s ok but %s faulted: %s" ctx ni nv (Fault.to_line f)
-  | Error f, Ok _ ->
-    Alcotest.failf "%s: %s faulted (%s) but %s ok" ctx ni (Fault.to_line f) nv
-
-(* pipeline variants per the issue: O0, baseline and the full pipeline *)
-let pipes p = [ Pipeline.o0; Pipeline.baseline; (E.new_rt_for p).C.b_pipe ]
-
-let builds_under_test p =
-  List.map (fun pipe -> { (E.new_rt_for p) with C.b_pipe = pipe }) (pipes p)
-  @ [ C.old_rt_nightly ]
-
-(* --- bit-identity: every proxy x pipeline x domain count ----------------- *)
-
-let test_bit_identity () =
-  List.iter
-    (fun p ->
-      List.iter
-        (fun b ->
-          List.iter
-            (fun d ->
-              let ctx =
-                Fmt.str "%s/%s/%s domains=%d" p.Proxy.p_name b.C.b_label
-                  b.C.b_pipe.Pipeline.name d
-              in
-              same_outcome ctx
-                (run_once ~domains:d ~exec:Engine.Exec_ir p b)
-                (run_once ~domains:d ~exec:Engine.Exec_vm p b))
-            [ 1; 4 ])
-        (builds_under_test p))
-    (Registry.all_small ())
-
-(* --- spilled allocations fall back to interpretation --------------------- *)
-
-let test_spill_fallback_identical () =
-  let machine = Machine.with_reg_budget 8 Machine.vgpu in
-  List.iter
-    (fun p ->
-      let b = E.new_rt_for p in
-      same_outcome
-        (Fmt.str "%s spill8" p.Proxy.p_name)
-        (run_once ~machine ~exec:Engine.Exec_ir p b)
-        (run_once ~machine ~exec:Engine.Exec_vm p b))
-    (Registry.all_small ())
-
 (* --- register renaming: planned frames = unrenamed frames ----------------- *)
 
-(* Both executors run the backend's rename plan, so [vm = ir] above no
-   longer checks renaming. This does: one compile per (proxy, build),
+(* Both executors run the backend's rename plan, so the oracle's
+   [vm = ir] does not check renaming. This does: one compile per (proxy, build),
    launched on a device with the plan and on one without it
    ([~plan:[]], frames of [f_next_reg] rows). Counters, check verdicts
    and fault text must agree. *)
-let run_planned ?machine (p : Proxy.t) (b : C.build) =
-  let r = E.request_for ?machine p b in
-  let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
-  let launch plan =
-    let dev =
-      Device.create ~params:(Machine.cost_params c.C.c_machine) ~exec:c.C.c_exec
-        ~plan c.C.c_module
-    in
-    let inst = p.Proxy.p_setup dev in
-    let hw = C.hw_threads c ~threads:p.Proxy.p_threads in
-    match
-      Device.launch ~opts:r.C.Request.rq_opts dev ~teams:p.Proxy.p_teams
-        ~threads:hw inst.Proxy.i_args
-    with
-    | Ok r -> Ok (r, inst.Proxy.i_check ())
-    | Error f -> Error f
-  in
-  let plan = c.C.c_lower.Backend.lw_plan in
-  (List.length plan, launch [], launch plan)
-
 let test_rename_identity () =
   let planned = ref 0 in
   let check ?machine ctx p b =
-    let n, without, with_plan = run_planned ?machine p b in
-    planned := !planned + n;
-    same_outcome ~names:("unrenamed", "renamed") ctx without with_plan
+    let r = E.request_for ?machine p b in
+    let c = C.compile_request r (Proxy.kernel_for p b.C.b_abi) in
+    let launch plan =
+      Oracle.launch p r c
+        (Device.create ~params:(Machine.cost_params c.C.c_machine) ~exec:c.C.c_exec
+           ~plan c.C.c_module)
+    in
+    let plan = c.C.c_lower.Backend.lw_plan in
+    planned := !planned + List.length plan;
+    Alcotest.(check (list string)) (ctx ^ ": renamed = unrenamed") (launch []) (launch plan)
   in
   List.iter
     (fun p ->
@@ -190,7 +80,7 @@ let test_rename_fault_text () =
   let fault_of ~plan m args =
     match Device.launch (Device.create ~plan m) ~teams:2 ~threads:40 args with
     | Ok _ -> Alcotest.fail "expected a fault"
-    | Error f -> fault_sig f
+    | Error f -> Fault.to_line f
   in
   let same name m args =
     let unplanned = fault_of ~plan:[] m args in
@@ -232,48 +122,8 @@ entry:
 |}
   in
   let msg = same "division by zero" div [ Engine.Ai 0 ] in
-  if not (Util.contains msg "division by zero@k/entry/2") then
+  if not (Util.contains msg "division by zero @ k:entry:2") then
     Alcotest.failf "unexpected division fault: %s" msg
-
-(* --- sanitizer parity ----------------------------------------------------- *)
-
-let test_sanitizer_parity () =
-  List.iter
-    (fun p ->
-      let b = E.new_rt_for p in
-      same_outcome
-        (Fmt.str "%s sanitized" p.Proxy.p_name)
-        (run_once ~sanitize:true ~exec:Engine.Exec_ir p b)
-        (run_once ~sanitize:true ~exec:Engine.Exec_vm p b))
-    (Registry.all_small ())
-
-(* --- fault injection ------------------------------------------------------ *)
-
-let test_injection_site_identical () =
-  List.iter
-    (fun seed ->
-      let spec =
-        { Faultinject.s_action = Faultinject.Corrupt_load; s_fn = None;
-          s_nth = None; s_seed = seed }
-      in
-      let p = Registry.find_exn "gridmini" in
-      let b = C.old_rt_nightly in
-      same_outcome
-        (Fmt.str "inject seed %d" seed)
-        (run_once ~inject:spec ~exec:Engine.Exec_ir p b)
-        (run_once ~inject:spec ~exec:Engine.Exec_vm p b))
-    [ 3; 42 ]
-
-(* --- result identity through the harness ----------------------------------- *)
-
-let test_csv_bytes_identical () =
-  let p = Registry.find_exn "xsbench" in
-  let b = E.new_rt_for p in
-  let row exec = E.measure_request p (E.request_for ~exec p b) in
-  let mi = row Engine.Exec_ir and mv = row Engine.Exec_vm in
-  Alcotest.(check string) "exec path recorded" "vm" mv.E.r_exec;
-  (* every result field agrees; exec only records how the row ran *)
-  Alcotest.(check string) "results identical" (E.result_json mi) (E.result_json mv)
 
 (* --- the compile key fingerprints the exec path --------------------------- *)
 
@@ -512,19 +362,11 @@ let test_vm_shape_golden () =
   Alcotest.(check string) "xsbench VM shape" golden_vm_row row
 
 let suite =
-  [ tc "vm = ir for every proxy x pipeline x domains" `Quick test_bit_identity;
-    tc "vm = ir under an 8-register budget (spill fallback)" `Quick
-      test_spill_fallback_identical;
-    tc "renamed frames = unrenamed frames for every proxy x build (+ spill8)"
+  Oracle.suite_of "vm"
+  @ [ tc "renamed frames = unrenamed frames for every proxy x build (+ spill8)"
       `Quick test_rename_identity;
     tc "fault text names original registers under a rename plan" `Quick
       test_rename_fault_text;
-    tc "sanitizer verdicts identical on the vm path" `Quick
-      test_sanitizer_parity;
-    tc "injected site identical on the vm path" `Quick
-      test_injection_site_identical;
-    tc "campaign csv rows byte-identical across exec paths" `Quick
-      test_csv_bytes_identical;
     tc "compile key fingerprints the exec path" `Quick
       test_compile_key_exec_sensitive;
     tc "campaign journal fingerprint carries the exec path" `Quick

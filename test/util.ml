@@ -58,7 +58,6 @@ let has_global m name = Ozo_ir.Types.find_global m name <> None
 let has_func m name = Ozo_ir.Types.find_func m name <> None
 
 let is_barrier = function Barrier _ -> true | _ -> false
-let is_aligned_barrier = function Barrier { aligned = true } -> true | _ -> false
 let is_load = function Load _ -> true | _ -> false
 let is_store = function Store _ -> true | _ -> false
 let is_call = function Call _ | Call_indirect _ -> true | _ -> false
@@ -67,6 +66,13 @@ let f64_array dev buf n = Device.read_f64_array dev buf n
 let i64_array dev buf n = Device.read_i64_array dev buf n
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(* the reduced test-size proxy named [name] *)
+let small_proxy name =
+  let named p = p.Ozo_proxies.Proxy.p_name = name in
+  match List.find_opt named (Ozo_proxies.Registry.all_small ()) with
+  | Some p -> p
+  | None -> Alcotest.failf "no small proxy %s" name
 
 (* substring search *)
 let contains haystack needle =
